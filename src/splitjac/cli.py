@@ -19,11 +19,10 @@ from fractions import Fraction
 
 from .errors import SplitJacError, ValidationError
 from .locus import boundary_rays, build_fan, compare_images
-from .matrices import Mat, congruence_act, parse_rat, rat_str
+from .matrices import SFLIP, Mat, congruence_act, parse_rat, rat_str
 from .reconstruct import build_covers, period_matrix, torelli_preimage
 from .selling import (
     DEFAULT_CAP,
-    SFLIP,
     ThetaCurve,
     classify_curve,
     fd_representative,
@@ -31,7 +30,7 @@ from .selling import (
     selling_reduce,
     sigma_coords,
 )
-from .splitting import SplittingData, build_diagram, build_jpp, qpp
+from .splitting import SplittingData, build_diagram, qpp
 from .tav import Tav, TavMorphism, adjoint, classify, compose, induce_polarization
 
 
@@ -89,7 +88,7 @@ def _csv_writer():
 def _mat_from_strs(rows) -> Mat:
     try:
         return Mat(tuple(tuple(parse_rat(str(x)) for x in row) for row in rows))
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ValidationError(f"bad matrix in input: {rows!r} ({exc})") from exc
 
 
@@ -213,7 +212,6 @@ def cmd_covers(args) -> int:
 def cmd_diagram(args) -> int:
     sd = _sd_from_args(args)
     dg = build_diagram(sd)
-    jm = build_jpp(sd)
     return _emit_json({
         "phi": dg.phi.to_strs(),
         "phitilde": dg.phitilde.to_strs(),
@@ -221,8 +219,8 @@ def cmd_diagram(args) -> int:
         "f2": dg.f2.to_strs(),
         "g1": dg.g1.to_strs(),
         "g2": dg.g2.to_strs(),
-        "zeta": jm.zeta.to_strs(),
-        "gram": jm.gram.to_strs(),
+        "zeta": dg.zeta.to_strs(),
+        "gram": dg.gram.to_strs(),
         "kernel_normalized": [[rat_str(u), rat_str(v)] for u, v in dg.kernel_normalized],
         "kernel_raw": [[rat_str(u), rat_str(v)] for u, v in dg.kernel_raw],
         "identities": {
@@ -304,7 +302,7 @@ def cmd_locus_compare(args) -> int:
 def _parse_rat_list(text: str) -> list:
     try:
         return [parse_rat(tok) for tok in text.split(",") if tok.strip()]
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ValidationError(f"bad rational list {text!r}: {exc}") from exc
 
 

@@ -20,15 +20,9 @@ from functools import cmp_to_key
 from itertools import permutations
 from math import gcd
 
-from .errors import (
-    ConeCapExceeded,
-    DegenerateSample,
-    InternalInconsistency,
-    IterationCapExceeded,
-    ValidationError,
-)
-from .matrices import Mat, congruence_act
-from .selling import DEFAULT_CAP, T1, T2
+from .errors import ConeCapExceeded, DegenerateSample, InternalInconsistency, ValidationError
+from .matrices import Mat
+from .selling import DEFAULT_CAP, reduce_triple
 from .splitting import check_dk
 
 
@@ -132,36 +126,25 @@ class FanDelta:
 def _symbolic_reduce(d: int, k: int, sample: tuple, cap: int):
     """Replay the reduction at a sample point, tracking symbolic entries.
 
-    Returns (word, inequalities, phi_sigma); raises DegenerateSample whenever
-    a decision form vanishes at the sample, i.e. the sample is on a wall.
+    Returns (word, inequalities, phi_sigma).  A run of n moves fires the
+    decision forms -(a + b + j*a) for T2 and -(c + b + j*c) for T1, j < n,
+    where (a, b, c) is the form at the start of the run.  Raises
+    DegenerateSample when a terminal coordinate vanishes at the sample, i.e.
+    the sample is on a wall.
     """
     q = qpp_symbolic(d, k)
     lp, l = sample
+    (a, b, c), runs = reduce_triple(q[0, 0], q[0, 1], q[1, 1],
+                                    lambda f: f.evaluate(lp, l), cap)
     moves, fired = [], []
-    for _ in range(cap):
-        p13 = -(q[0, 0] + q[0, 1])
-        p23 = -(q[1, 1] + q[0, 1])
-        v13 = p13.evaluate(lp, l)
-        v23 = p23.evaluate(lp, l)
-        if v13 > 0:
-            fired.append(p13)
-            q = congruence_act(T2, q)
-            moves.append("T2")
-        elif v23 > 0:
-            if v13 == 0 and not p13.is_zero():
-                raise DegenerateSample(f"untaken branch form vanishes at {sample}")
-            fired.append(p23)
-            q = congruence_act(T1, q)
-            moves.append("T1")
-        else:
-            l1 = q[0, 0] + q[0, 1]
-            l2 = q[1, 1] + q[0, 1]
-            l3 = -q[0, 1]
-            terminal = (l1, l2, l3)
-            if any(t.evaluate(lp, l) == 0 for t in terminal):
-                raise DegenerateSample(f"terminal coordinate vanishes at {sample}")
-            return tuple(moves), tuple(fired) + terminal, terminal
-    raise IterationCapExceeded(f"symbolic reduction exceeded {cap} moves at {sample}")
+    for move, n, (a0, b0, c0) in runs:
+        step = a0 if move == "T2" else c0
+        moves.extend([move] * n)
+        fired.extend(-(step + b0 + j * step) for j in range(n))
+    terminal = (a + b, c + b, -b)
+    if any(t.evaluate(lp, l) == 0 for t in terminal):
+        raise DegenerateSample(f"terminal coordinate vanishes at {sample}")
+    return tuple(moves), tuple(fired) + terminal, terminal
 
 
 def _angle_cmp(r, s) -> int:
@@ -240,11 +223,6 @@ def build_fan(d: int, k: int, cap: int = None) -> FanDelta:
     if len(set(words)) != len(words):
         raise InternalInconsistency("two cones share a reduction word")
     return FanDelta(d=d, k=k, cones=tuple(cones))
-
-
-def phi_sigma(cone: FanCone) -> tuple:
-    """Symbolic edge-length map of a maximal cone: (l1, l2, l3) linear forms."""
-    return cone.phi_sigma
 
 
 def boundary_rays(d: int, k: int, fan: FanDelta = None) -> tuple:

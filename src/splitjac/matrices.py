@@ -30,8 +30,11 @@ def rat_str(x) -> str:
 
 
 def parse_rat(s: str) -> Fraction:
-    """Parse 'p/q' or 'p' into a Fraction."""
-    return Fraction(s.strip())
+    """Parse 'p/q' or 'p' into a Fraction; a zero denominator is a ValueError."""
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {s!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -145,6 +148,10 @@ class Mat:
 def imat(a, b, c, d) -> Mat:
     """2x2 integer matrix [[a,b],[c,d]]."""
     return Mat(((int(a), int(b)), (int(c), int(d))))
+
+
+# Sign flip of the second basis vector: turns q12 into -q12.
+SFLIP = imat(1, 0, 0, -1)
 
 
 def qmat(a, b, c, d) -> Mat:

@@ -29,15 +29,12 @@ from .errors import (
     PositiveQ12,
     ValidationError,
 )
-from .matrices import Mat, congruence_act, imat, is_positive_definite
+from .matrices import SFLIP, Mat, congruence_act, imat, is_positive_definite
 
 T1 = imat(1, 0, 1, 1)
 T2 = imat(1, 1, 0, 1)
-SFLIP = imat(1, 0, 0, -1)
 
 DEFAULT_CAP = 10000
-
-_MOVES = {"T1": T1, "T2": T2}
 
 
 def check_form(q: Mat) -> None:
@@ -89,59 +86,74 @@ def in_fundamental_domain(q: Mat) -> bool:
 
 @dataclass(frozen=True)
 class ReductionWord:
-    """Change-of-basis word: optional sign flip, then moves, then a stabilizer element.
+    """Change-of-basis word: optional sign flip, then runs of moves, then a stabilizer element.
 
-    matrix() is the accumulated X with X^T Q X equal to the final form; moves
-    are listed in application order.  counts() is the legacy run-length view:
-    counts of maximal runs in reverse application order.
+    runs lists (move, n) pairs, meaning move^n, in application order; moves
+    expands them.  matrix() is the accumulated X with X^T Q X equal to the
+    final form, using T1^n = [[1,0],[n,1]] and T2^n = [[1,n],[0,1]].
+    counts() is the legacy view: the run lengths in reverse application order.
     """
 
-    moves: tuple = ()
+    runs: tuple = ()
     preflip: bool = False
     stab: Mat = field(default_factory=lambda: Mat.identity(2))
 
+    @property
+    def moves(self) -> tuple:
+        return tuple(move for move, n in self.runs for _ in range(n))
+
     def matrix(self) -> Mat:
         x = SFLIP if self.preflip else Mat.identity(2)
-        for move in self.moves:
-            x = x @ _MOVES[move]
+        for move, n in self.runs:
+            x = x @ (imat(1, 0, n, 1) if move == "T1" else imat(1, n, 0, 1))
         return x @ self.stab
 
     def counts(self) -> tuple:
-        runs = []
-        for move in self.moves:
-            if runs and runs[-1][0] == move:
-                runs[-1][1] += 1
-            else:
-                runs.append([move, 1])
-        return tuple(count for _, count in reversed(runs))
+        return tuple(n for _, n in reversed(self.runs))
+
+
+def reduce_triple(a, b, c, value=lambda x: x, cap: int = DEFAULT_CAP) -> tuple:
+    """Selling-reduce the form triple (a, b, c) = (q11, q12, q22) by unit moves.
+
+    T2: (a, b, c) -> (a, b + a, c + 2b + a) while value(a) + value(b) < 0
+    (p13 > 0), else T1: (a, b, c) -> (a + 2b + c, b + c, c) while
+    value(c) + value(b) < 0 (p23 > 0); both cannot hold, as p13 + p23 < 0 for
+    definite forms.  value is the identity for rationals and evaluation at a
+    sample point for symbolic entries.  Returns (reduced triple, runs), runs
+    being [move, n, triple at the run's start] in application order; raises
+    IterationCapExceeded when cap or more moves are needed.
+    """
+    runs = []
+    for _ in range(cap):
+        if value(a) + value(b) < 0:
+            move, nxt = "T2", (a, b + a, c + 2 * b + a)
+        elif value(c) + value(b) < 0:
+            move, nxt = "T1", (a + 2 * b + c, b + c, c)
+        else:
+            return (a, b, c), runs
+        if runs and runs[-1][0] == move:
+            runs[-1][1] += 1
+        else:
+            runs.append([move, 1, (a, b, c)])
+        a, b, c = nxt
+    raise IterationCapExceeded(f"Selling reduction did not finish within {cap} moves")
 
 
 def selling_reduce(q: Mat, cap: int = DEFAULT_CAP) -> tuple:
     """Reduce a positive definite form with nonpositive q12 into sigma.
 
-    Returns (reduced form, ReductionWord).  The loop applies T2 while
-    p13 > 0, else T1 while p23 > 0; at most one can be positive at a time
-    because p13 + p23 = -(q11 + 2 q12 + q22) < 0 for definite forms.
+    Returns (reduced form, ReductionWord); the word is certified against the
+    reduced form.  See reduce_triple for the moves and the cap.
     """
     check_form(q)
     if q[0, 1] > 0:
         raise PositiveQ12(f"q12 = {q[0, 1]} > 0; flip the off-diagonal sign first")
-    moves = []
-    cur = q
-    for _ in range(cap):
-        p = selling_params(cur)
-        if p.p13 > 0:
-            cur = congruence_act(T2, cur)
-            moves.append("T2")
-        elif p.p23 > 0:
-            cur = congruence_act(T1, cur)
-            moves.append("T1")
-        else:
-            word = ReductionWord(moves=tuple(moves))
-            if congruence_act(word.matrix(), q) != cur:
-                raise InternalInconsistency("reduction word does not reproduce the form")
-            return cur, word
-    raise IterationCapExceeded(f"Selling reduction did not finish within {cap} moves")
+    (a, b, c), runs = reduce_triple(q[0, 0], q[0, 1], q[1, 1], cap=cap)
+    cur = Mat(((a, b), (b, c)))
+    word = ReductionWord(runs=tuple((move, n) for move, n, _ in runs))
+    if congruence_act(word.matrix(), q) != cur:
+        raise InternalInconsistency("reduction word does not reproduce the form")
+    return cur, word
 
 
 # Extreme rays of sigma: rank-1 forms v v^T for v = e1, e2, e1 - e2.

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InternalInconsistency, NonPositiveLength, ValidationError
-from .matrices import Mat, col2, congruence_act, imat, inv2, row2
+from .matrices import SFLIP, Mat, col2, congruence_act, imat, inv2, row2
 from .tav import (
     Tav,
     TavMorphism,
@@ -31,8 +31,6 @@ from .tav import (
     polarization_type,
     pullback_polarization,
 )
-
-SFLIP = imat(1, 0, 0, -1)
 
 
 def check_dk(d: int, k: int) -> None:
@@ -146,6 +144,8 @@ class SplitDiagram:
     g2: Mat        # second-circle component of phitilde (1x2)
     kernel_normalized: tuple  # kernel of phi on the product torus, coords in [0,1)
     kernel_raw: tuple         # same points scaled by the circle lengths
+    zeta: Mat      # induced type-(1,d) polarization on the quotient (from build_jpp)
+    gram: Mat      # pp pairing matrix (from build_jpp)
 
 
 def build_diagram(sd: SplittingData) -> SplitDiagram:
@@ -181,4 +181,5 @@ def build_diagram(sd: SplittingData) -> SplitDiagram:
         raise InternalInconsistency("kernel is not a graph of order d")
     kernel_raw = tuple((u * sd.lp, v * sd.l) for u, v in kernel_norm)
     return SplitDiagram(sd=sd, phi=phi, phitilde=phitilde, f1=f1, f2=f2, g1=g1, g2=g2,
-                        kernel_normalized=tuple(kernel_norm), kernel_raw=kernel_raw)
+                        kernel_normalized=tuple(kernel_norm), kernel_raw=kernel_raw,
+                        zeta=jm.zeta, gram=jm.gram)

@@ -98,6 +98,10 @@ def test_usage_errors_exit_2(capsys):
         main(["no-such-command"])
     assert exc.value.code == 2
     capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["setmatrix", "--d", "18", "--k", "7", "--lp", "1/0", "--l", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_output_is_deterministic(capsys):

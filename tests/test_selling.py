@@ -7,6 +7,7 @@ fundamental domain.
 """
 
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 from hypothesis import given
@@ -70,10 +71,11 @@ def test_fd_representative_golden():
 
 
 def test_reduction_word_matrix_order():
-    word = ReductionWord(moves=("T1", "T1", "T2"), preflip=True, stab=imat(0, 1, 1, 0))
+    word = ReductionWord(runs=(("T1", 2), ("T2", 1)), preflip=True, stab=imat(0, 1, 1, 0))
+    assert word.moves == ("T1", "T1", "T2")
     assert word.matrix() == SFLIP @ T1 @ T1 @ T2 @ imat(0, 1, 1, 0)
     assert ReductionWord().matrix() == Mat.identity(2)
-    assert ReductionWord(moves=("T1",) * 5).counts() == (5,)
+    assert ReductionWord(runs=(("T1", 5),)).counts() == (5,)
 
 
 def test_selling_reduce_rejects_positive_q12():
@@ -137,6 +139,39 @@ def test_selling_reduce_properties(q):
     # idempotence: a reduced form reduces with the empty word
     again, word2 = selling_reduce(qred)
     assert again == qred and word2.moves == ()
+
+
+def _unit_step_reduce(q):
+    """Reference: the unit-step Mat loop, one congruence per move."""
+    moves = []
+    while True:
+        p = selling_params(q)
+        if p.p13 > 0:
+            q, move = congruence_act(T2, q), "T2"
+        elif p.p23 > 0:
+            q, move = congruence_act(T1, q), "T1"
+        else:
+            return q, tuple(moves)
+        moves.append(move)
+
+
+@given(pd_forms())
+def test_selling_reduce_matches_unit_step_reference(q):
+    if q[0, 1] > 0:
+        q = congruence_act(SFLIP, q)
+    qref, moves = _unit_step_reduce(q)
+    qred, word = selling_reduce(q)
+    assert qred == qref
+    assert word.moves == moves
+    assert word.counts() == tuple(len(list(g)) for _, g in groupby(reversed(moves)))
+    x = Mat.identity(2)
+    for move in moves:
+        x = x @ (T1 if move == "T1" else T2)
+    assert word.matrix() == x
+    # the cap counts one iteration per move plus one to stop
+    with pytest.raises(IterationCapExceeded):
+        selling_reduce(q, cap=len(moves))
+    assert selling_reduce(q, cap=len(moves) + 1) == (qred, word)
 
 
 @given(reduced_forms())
