@@ -5,7 +5,9 @@ For a fixed degree d there is one fan per residue k coprime to d, and the
 complementary residues k and d - k produce mirror fans of each other.
 Whether *all* the fans of one degree share the same image in curve space
 is an open question; this experiment computes the pairwise verdicts and
-reports them without asserting anything.
+reports them without asserting anything.  For each degree it also reports
+whether the equal pairs are exactly the pairs with k2 = +-k1 or
+k2 = +-k1^-1 (mod d); a match over a range of d is evidence, not a proof.
 
 Examples:
 
@@ -55,11 +57,13 @@ def run(config: ExperimentConfig) -> dict:
         pairs = []
         for k1, k2 in itertools.combinations(ks, 2):
             result = compare_images(fans[k1], fans[k2])
-            pairs.append({"k1": k1, "k2": k2, "equal": result.equal})
+            related = k2 in {k1, d - k1, pow(k1, -1, d), d - pow(k1, -1, d)}
+            pairs.append({"k1": k1, "k2": k2, "equal": result.equal, "related": related})
         report[d] = {
             "cone_counts": {k: len(fans[k].cones) for k in ks},
             "pairs": pairs,
             "all_equal": all(p["equal"] for p in pairs),
+            "exceptions": [p for p in pairs if p["equal"] != p["related"]],
             "images": {k: image_cones(fans[k]) for k in ks},
         }
     return report
@@ -76,6 +80,8 @@ def print_report(report: dict, show_images: bool) -> None:
             print("  single fan, nothing to compare")
         elif entry["all_equal"]:
             print(f"  => all {len(entry['cone_counts'])} fans of degree {d} share one image")
+        rule = "yes" if not entry["exceptions"] else f"NO, exceptions {entry['exceptions']}"
+        print(f"  equal pairs are exactly k2 = +-k1^(+-1) mod {d}: {rule}")
         if show_images:
             for k, cones in entry["images"].items():
                 print(f"  image cones of k={k}:")
@@ -83,7 +89,9 @@ def print_report(report: dict, show_images: bool) -> None:
                     print(f"    span{{{v1}, {v2}}}")
     total = sum(len(e["pairs"]) for e in report.values())
     agree = sum(sum(p["equal"] for p in e["pairs"]) for e in report.values())
+    exceptions = sum(len(e["exceptions"]) for e in report.values())
     print(f"pairs compared: {total}, images equal: {agree}, different: {total - agree}")
+    print(f"pairs against the rule k2 = +-k1^(+-1) mod d: {exceptions}")
 
 
 def main(argv=None) -> int:

@@ -403,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fan", help="fan of the d-split locus for fixed (d, k)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None, help="cone cap (default 64*d)")
+    p.add_argument("--cap", type=int, default=None, help="cone cap (default: no cap)")
     p.add_argument("--csv", default=None, metavar="PATH",
                    help="also write rays and sample points to a CSV file")
     p.set_defaults(func=cmd_fan)

@@ -75,7 +75,7 @@ class ConeCapExceeded(SplitJacError):
 
 
 class DegenerateSample(SplitJacError):
-    """Sample point landed on a wall during the fan walk."""
+    """Sample point on a wall of the fan; build_fan no longer raises it."""
 
 
 class InternalInconsistency(SplitJacError):

@@ -4,23 +4,23 @@ For fixed coprime (d, k) the Selling-ready period form has entries that are
 linear forms in the two lengths (lp, l).  Running the reduction symbolically,
 the branch taken at each step depends only on signs of linear forms, so the
 open quadrant decomposes into finitely many 2-dimensional rational cones on
-which the reduction word is constant.  This module walks those cones from the
-lp-axis to the l-axis, records for each cone the word, the strict inequalities
-cut out by the walk, the two extreme rays, and the symbolic edge-length map
-phi_sigma (the sigma coordinates of the reduced form as linear forms), and
-compares the images of two such fans inside the length space of genus-2
-curves up to relabeling of the three coordinates.
+which the reduction word is constant.  Their words are the prefixes of the
+word at the lp-axis, so one symbolic reduction there gives every cone, from
+the lp-axis to the l-axis: its word, its strict inequalities, its two extreme
+rays, and the symbolic edge-length map phi_sigma (the sigma coordinates of
+the reduced form as linear forms).  The module also compares the images of
+two such fans inside the length space of genus-2 curves up to relabeling of
+the three coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import permutations
 from math import gcd
 
-from .errors import ConeCapExceeded, DegenerateSample, InternalInconsistency, ValidationError
+from .errors import ConeCapExceeded, InternalInconsistency, ValidationError
 from .matrices import Mat
 from .selling import DEFAULT_CAP, reduce_triple
 from .splitting import check_dk
@@ -123,106 +123,85 @@ class FanDelta:
     cones: tuple
 
 
-def _symbolic_reduce(d: int, k: int, sample: tuple, cap: int):
-    """Replay the reduction at a sample point, tracking symbolic entries.
+def _seed_runs(d: int, k: int, q: Mat) -> list:
+    """Runs of the reduction at a point (1, eps) of the cone at the lp-axis.
 
-    Returns (word, inequalities, phi_sigma).  A run of n moves fires the
-    decision forms -(a + b + j*a) for T2 and -(c + b + j*c) for T1, j < n,
-    where (a, b, c) is the form at the start of the run.  Raises
-    DegenerateSample when a terminal coordinate vanishes at the sample, i.e.
-    the sample is on a wall.
+    eps starts at 1/(2d) and is halved until the terminal forms are positive
+    at the sample and nonnegative at (1, 0), i.e. the sample lies in the open
+    cone at the lp-axis, whose word is the longest of the fan.
     """
-    q = qpp_symbolic(d, k)
-    lp, l = sample
-    (a, b, c), runs = reduce_triple(q[0, 0], q[0, 1], q[1, 1],
-                                    lambda f: f.evaluate(lp, l), cap)
-    moves, fired = [], []
-    for move, n, (a0, b0, c0) in runs:
-        step = a0 if move == "T2" else c0
-        moves.extend([move] * n)
-        fired.extend(-(step + b0 + j * step) for j in range(n))
-    terminal = (a + b, c + b, -b)
-    if any(t.evaluate(lp, l) == 0 for t in terminal):
-        raise DegenerateSample(f"terminal coordinate vanishes at {sample}")
-    return tuple(moves), tuple(fired) + terminal, terminal
+    for attempt in range(64):
+        eps = Fraction(1, (2 * d) << attempt)
+        (a, b, c), runs = reduce_triple(q[0, 0], q[0, 1], q[1, 1],
+                                        lambda f: f.a + f.b * eps, DEFAULT_CAP)
+        if all(t.a + t.b * eps > 0 and t.a >= 0 for t in (a + b, c + b, -b)):
+            return runs
+    raise InternalInconsistency(f"could not seed the fan of d={d}, k={k} at the lp-axis")
 
 
-def _angle_cmp(r, s) -> int:
-    cross = r[0] * s[1] - r[1] * s[0]
-    if cross > 0:
-        return -1
-    if cross < 0:
-        return 1
-    return 0
+def _prefix_forms(q: Mat, runs) -> tuple:
+    """The word, its decision forms and the terminal forms after every prefix.
+
+    T2 fires on -(a + b) and T1 on -(c + b) of the triple it acts on, so
+    decision form i is minus a terminal form of triple i.
+    """
+    word, fired, terminals = [], [], []
+    a, b, c = q[0, 0], q[0, 1], q[1, 1]
+    for move, n, _ in runs:
+        for _ in range(n):
+            terminals.append((a + b, c + b, -b))
+            fired.append(-terminals[-1][0 if move == "T2" else 1])
+            word.append(move)
+            a, b, c = (a, b + a, c + 2 * b + a) if move == "T2" else (a + 2 * b + c, b + c, c)
+    terminals.append((a + b, c + b, -b))
+    return tuple(word), tuple(fired), terminals
 
 
-def _extreme_rays(ineqs) -> tuple:
-    """The two extreme rays of {all forms >= 0} within the closed quadrant."""
-    usable = [f for f in ineqs if not f.is_zero()]
-    cands = set()
-    for f in usable:
-        dirn = f.kernel_direction()
-        if dirn is not None and all(g.evaluate(*dirn) >= 0 for g in usable):
-            cands.add(dirn)
-    for axis in ((1, 0), (0, 1)):
-        if all(g.evaluate(*axis) >= 0 for g in usable):
-            cands.add(axis)
-    if len(cands) != 2:
-        raise InternalInconsistency(f"expected exactly 2 extreme rays, got {sorted(cands)}")
-    lo, hi = sorted(cands, key=cmp_to_key(_angle_cmp))
-    return (lo, hi)
+def _certify_fan(fired, terminals, rays) -> None:
+    """Certify that cone m is {fired[:m] > 0, terminals[m] > 0}, m = N .. 0.
 
-
-def _cone_at(d: int, k: int, sample: tuple, cap: int) -> FanCone:
-    moves, ineqs, phi_sigma_forms = _symbolic_reduce(d, k, sample, cap)
-    rays = _extreme_rays(ineqs)
-    return FanCone(word=moves, inequalities=ineqs, rays=rays, phi_sigma=phi_sigma_forms)
+    Each decision form is positive at (1, 0) and vanishes on a ray of the
+    open quadrant, and the rays turn strictly counterclockwise, so fired[i]
+    is positive on the cones before its own ray.  Each cone's terminal forms
+    are nonnegative at both of its rays and positive at their sum, hence
+    positive on the open cone.  On the open cone m the reduction therefore
+    fires exactly the first m moves and stops.
+    """
+    for f in fired:
+        r = f.kernel_direction()
+        if not (f.evaluate(1, 0) > 0 and r is not None and r[0] > 0 and r[1] > 0):
+            raise InternalInconsistency(f"decision form {f} does not cut the open quadrant")
+    for terminal, lo, hi in zip(reversed(terminals), rays, rays[1:]):
+        if lo[0] * hi[1] - lo[1] * hi[0] <= 0:
+            raise InternalInconsistency(f"rays {lo}, {hi} do not turn counterclockwise")
+        mid = (lo[0] + hi[0], lo[1] + hi[1])
+        for t in terminal:
+            if t.evaluate(*lo) < 0 or t.evaluate(*hi) < 0 or t.evaluate(*mid) <= 0:
+                raise InternalInconsistency(f"terminal form {t} is not positive on cone {lo}, {hi}")
 
 
 def build_fan(d: int, k: int, cap: int = None) -> FanDelta:
-    """Walk the quadrant counterclockwise, one maximal cone at a time."""
+    """The fan from one reduction at the lp-axis: its cones are the word's prefixes.
+
+    The reduction at a point of the cone at the lp-axis gives the longest
+    word w, of N moves.  Cone m (m = N .. 0, from the lp-axis to the l-axis)
+    has word w[:m], inequalities fired[:m] plus the terminal forms of the
+    triple after m moves, phi_sigma those terminal forms, and upper ray the
+    kernel of fired[m - 1], or (0, 1) for m = 0.  Raises ConeCapExceeded
+    when there are more than cap cones.
+    """
     check_dk(d, k)
-    cone_cap = 64 * d if cap is None else cap
-    first = None
-    for attempt in range(64):
-        eps = Fraction(1, (2 * d) << attempt)
-        try:
-            cone = _cone_at(d, k, (Fraction(1), eps), DEFAULT_CAP)
-        except DegenerateSample:
-            continue
-        if cone.rays[0] == (1, 0):
-            first = cone
-            break
-    if first is None:
-        raise InternalInconsistency("fan walk could not seed at the lp-axis")
-    cones = [first]
-    while cones[-1].rays[1] != (0, 1):
-        if len(cones) >= cone_cap:
-            raise ConeCapExceeded(f"more than {cone_cap} cones for d={d}, k={k}")
-        rx, ry = cones[-1].rays[1]
-        nxt = None
-        for attempt in range(64):
-            delta = Fraction(1, 16 << attempt)
-            sample = (rx - delta * ry, ry + delta * rx)
-            if sample[0] <= 0 or sample[1] <= 0:
-                continue
-            try:
-                cone = _cone_at(d, k, sample, DEFAULT_CAP)
-            except DegenerateSample:
-                continue
-            if cone.rays[0] != (rx, ry):
-                continue  # overstepped into a later cone; shrink the rotation
-            nxt = cone
-            break
-        if nxt is None:
-            raise InternalInconsistency(f"fan walk stuck crossing ray {(rx, ry)}")
-        if nxt.word == cones[-1].word:
-            raise InternalInconsistency("fan walk failed to leave the current cone")
-        cones.append(nxt)
-    words = [c.word for c in cones]
-    if len(set(words)) != len(words):
-        raise InternalInconsistency("two cones share a reduction word")
-    return FanDelta(d=d, k=k, cones=tuple(cones))
+    q = qpp_symbolic(d, k)
+    word, fired, terminals = _prefix_forms(q, _seed_runs(d, k, q))
+    n = len(word)
+    if cap is not None and n + 1 > cap:
+        raise ConeCapExceeded(f"more than {cap} cones for d={d}, k={k}")
+    rays = [(1, 0)] + [f.kernel_direction() for f in reversed(fired)] + [(0, 1)]
+    _certify_fan(fired, terminals, rays)
+    cones = tuple(FanCone(word=word[:m], inequalities=fired[:m] + terminals[m],
+                          rays=(rays[n - m], rays[n - m + 1]), phi_sigma=terminals[m])
+                  for m in range(n, -1, -1))
+    return FanDelta(d=d, k=k, cones=cones)
 
 
 def boundary_rays(d: int, k: int, fan: FanDelta = None) -> tuple:
@@ -338,14 +317,22 @@ def _solve_interval(v1, v2, w1, w2):
     return (lo, hi)
 
 
+def _by_plane(cones) -> dict:
+    """Image cones grouped by the primitive normal of their plane."""
+    planes = {}
+    for cone in cones:
+        planes.setdefault(_plane_normal(*cone), []).append(cone)
+    return planes
+
+
 def _covered(cone, pool) -> bool:
-    """Whether cone is contained in the union of the pool's cones (all 2D, exact)."""
+    """Whether cone is contained in the union of the pool's cones (all 2D, exact).
+
+    The pool holds the cones that lie in cone's plane.
+    """
     v1, v2 = cone
-    n = _plane_normal(v1, v2)
     intervals = []
     for w1, w2 in pool:
-        if _plane_normal(w1, w2) != n:
-            continue
         interval = _solve_interval(v1, v2, w1, w2)
         if interval is not None:
             intervals.append(interval)
@@ -358,6 +345,14 @@ def _covered(cone, pool) -> bool:
         if reach >= 1:
             return True
     return reach >= 1
+
+
+def _covers(planes, pool) -> bool:
+    """Whether each cone of planes lies in the union of pool's cones in its plane.
+
+    pool must have a group for every plane of planes.
+    """
+    return all(_covered(cone, pool[n]) for n, cones in planes.items() for cone in cones)
 
 
 def canonical_image(v1, v2) -> tuple:
@@ -382,9 +377,9 @@ def compare_images(fan1: FanDelta, fan2: FanDelta) -> ComparisonResult:
     if fan1.d != fan2.d:
         raise ValidationError(f"fans have different d: {fan1.d} != {fan2.d}")
     ic1, ic2 = image_cones(fan1), image_cones(fan2)
-    sat1, sat2 = _saturate(ic1), _saturate(ic2)
-    equal = (all(_covered(c, sat2) for c in sat1)
-             and all(_covered(c, sat1) for c in sat2))
+    planes1, planes2 = _by_plane(_saturate(ic1)), _by_plane(_saturate(ic2))
+    equal = (planes1.keys() == planes2.keys()
+             and _covers(planes1, planes2) and _covers(planes2, planes1))
     return ComparisonResult(equal=equal,
                             images1=tuple(canonical_image(*c) for c in ic1),
                             images2=tuple(canonical_image(*c) for c in ic2))

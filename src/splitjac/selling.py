@@ -191,8 +191,8 @@ def fd_representative(q: Mat) -> tuple:
     stabilizer element (in the fixed search order) that sorts the coordinates
     is used, and it is unique whenever the three coordinates are distinct.
     """
-    sigma_coords(q)  # validates membership
-    if in_fundamental_domain(q):
+    l1, l2, l3 = sigma_coords(q)  # validates the form and its membership
+    if l3 <= l1 <= l2:
         return q, Mat.identity(2)
     for x in stab_sigma():
         q2 = congruence_act(x, q)

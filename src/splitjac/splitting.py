@@ -35,7 +35,7 @@ from .tav import (
 
 def check_dk(d: int, k: int) -> None:
     """Validate the discrete half of splitting data."""
-    if not isinstance(d, int) or not isinstance(k, int):
+    if any(not isinstance(x, int) or isinstance(x, bool) for x in (d, k)):
         raise ValidationError("d and k must be integers")
     if d < 2:
         raise ValidationError(f"d must be >= 2, got {d}")
@@ -57,6 +57,8 @@ class SplittingData:
     def __post_init__(self):
         check_dk(self.d, self.k)
         for name in ("lp", "l"):
+            if isinstance(getattr(self, name), float):
+                raise ValidationError(f"{name} must be exact, got the float {getattr(self, name)!r}")
             val = Fraction(getattr(self, name))
             if val <= 0:
                 raise NonPositiveLength(f"{name} must be a positive rational, got {val}")

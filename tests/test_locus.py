@@ -1,13 +1,24 @@
 """Symbolic reduction fans and image comparison in length space."""
 
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import groupby
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+import splitjac.locus as locus
 from conftest import positive_rationals
-from splitjac.errors import ConeCapExceeded, ValidationError
+from splitjac.errors import (
+    ConeCapExceeded,
+    DegenerateSample,
+    InternalInconsistency,
+    ValidationError,
+)
 from splitjac.locus import (
+    FanCone,
+    FanDelta,
     LinForm,
     boundary_rays,
     build_fan,
@@ -18,8 +29,132 @@ from splitjac.locus import (
 )
 from splitjac.matrices import Mat
 from splitjac.reconstruct import torelli_preimage
-from splitjac.selling import DumbbellFamily, selling_reduce, sigma_coords
+from splitjac.selling import (
+    DEFAULT_CAP,
+    DumbbellFamily,
+    reduce_triple,
+    selling_reduce,
+    sigma_coords,
+)
 from splitjac.splitting import SplittingData, qpp
+
+
+# --- oracles: a cone-by-cone sampling walk of the quadrant, and a
+# compare_images that scans the whole pool for every cone ---
+
+def _walk_symbolic_reduce(d, k, sample):
+    q = qpp_symbolic(d, k)
+    lp, l = sample
+    (a, b, c), runs = reduce_triple(q[0, 0], q[0, 1], q[1, 1],
+                                    lambda f: f.evaluate(lp, l), DEFAULT_CAP)
+    moves, fired = [], []
+    for move, n, (a0, b0, c0) in runs:
+        step = a0 if move == "T2" else c0
+        moves.extend([move] * n)
+        fired.extend(-(step + b0 + j * step) for j in range(n))
+    terminal = (a + b, c + b, -b)
+    if any(t.evaluate(lp, l) == 0 for t in terminal):
+        raise DegenerateSample(f"terminal coordinate vanishes at {sample}")
+    return tuple(moves), tuple(fired) + terminal, terminal
+
+
+def _angle_cmp(r, s):
+    cross = r[0] * s[1] - r[1] * s[0]
+    return -1 if cross > 0 else 1 if cross < 0 else 0
+
+
+def _extreme_rays(ineqs):
+    usable = [f for f in ineqs if not f.is_zero()]
+    cands = set()
+    for f in usable:
+        dirn = f.kernel_direction()
+        if dirn is not None and all(g.evaluate(*dirn) >= 0 for g in usable):
+            cands.add(dirn)
+    for axis in ((1, 0), (0, 1)):
+        if all(g.evaluate(*axis) >= 0 for g in usable):
+            cands.add(axis)
+    assert len(cands) == 2, sorted(cands)
+    return tuple(sorted(cands, key=cmp_to_key(_angle_cmp)))
+
+
+def _walk_cone_at(d, k, sample):
+    moves, ineqs, phi_sigma = _walk_symbolic_reduce(d, k, sample)
+    return FanCone(word=moves, inequalities=ineqs, rays=_extreme_rays(ineqs),
+                   phi_sigma=phi_sigma)
+
+
+def walk_fan(d, k):
+    """Sample the quadrant counterclockwise, one maximal cone at a time."""
+    first = None
+    for attempt in range(64):
+        try:
+            cone = _walk_cone_at(d, k, (Fraction(1), Fraction(1, (2 * d) << attempt)))
+        except DegenerateSample:
+            continue
+        if cone.rays[0] == (1, 0):
+            first = cone
+            break
+    assert first is not None
+    cones = [first]
+    while cones[-1].rays[1] != (0, 1):
+        assert len(cones) < 64 * d
+        rx, ry = cones[-1].rays[1]
+        nxt = None
+        for attempt in range(64):
+            delta = Fraction(1, 16 << attempt)
+            sample = (rx - delta * ry, ry + delta * rx)
+            if sample[0] <= 0 or sample[1] <= 0:
+                continue
+            try:
+                cone = _walk_cone_at(d, k, sample)
+            except DegenerateSample:
+                continue
+            if cone.rays[0] == (rx, ry):
+                nxt = cone
+                break
+        assert nxt is not None and nxt.word != cones[-1].word
+        cones.append(nxt)
+    return FanDelta(d=d, k=k, cones=tuple(cones))
+
+
+def _pool_covered(cone, pool):
+    v1, v2 = cone
+    n = locus._plane_normal(v1, v2)
+    intervals = []
+    for w1, w2 in pool:
+        if locus._plane_normal(w1, w2) != n:
+            continue
+        interval = locus._solve_interval(v1, v2, w1, w2)
+        if interval is not None:
+            intervals.append(interval)
+    intervals.sort()
+    reach = Fraction(0)
+    for lo, hi in intervals:
+        if lo > reach:
+            return False
+        reach = max(reach, hi)
+        if reach >= 1:
+            return True
+    return reach >= 1
+
+
+def pool_scan_equal(fan1, fan2):
+    sat1 = locus._saturate(image_cones(fan1))
+    sat2 = locus._saturate(image_cones(fan2))
+    return (all(_pool_covered(c, sat2) for c in sat1)
+            and all(_pool_covered(c, sat1) for c in sat2))
+
+
+def coprime_pairs(max_d):
+    return [(d, k) for d in range(2, max_d + 1) for k in range(1, d) if gcd(k, d) == 1]
+
+
+def partial_quotients(p, q):
+    out = []
+    while q:
+        out.append(p // q)
+        p, q = q, p % q
+    return out
 
 
 def test_linform_algebra():
@@ -103,6 +238,75 @@ def test_edge_k_fan_structure(d, k_of_d):
 def test_fan_cone_cap():
     with pytest.raises(ConeCapExceeded):
         build_fan(5, 1, cap=2)
+
+
+@pytest.mark.parametrize("d,k", [(2, 1), (5, 1), (13, 5), (41, 9)])
+def test_fan_cone_cap_boundary(d, k):
+    n = len(build_fan(d, k).cones)
+    assert len(build_fan(d, k, cap=n).cones) == n
+    with pytest.raises(ConeCapExceeded, match=f"^more than {n - 1} cones for d={d}, k={k}$"):
+        build_fan(d, k, cap=n - 1)
+
+
+def test_build_fan_matches_sampling_walk():
+    for d, k in coprime_pairs(23) + [(40, 1), (41, 9), (60, 7), (89, 55)]:
+        assert build_fan(d, k) == walk_fan(d, k), (d, k)
+
+
+def test_cone_count_is_sum_of_partial_quotients():
+    # the seed word's run lengths are the partial quotients of d/k, the
+    # last one lowered by one, e.g. 41/9 = [4; 1, 1, 4] gives T1^4 T2 T1 T2^3
+    for d, k in coprime_pairs(60):
+        fan = build_fan(d, k)
+        pq = partial_quotients(d, k)
+        assert len(fan.cones) == sum(pq), (d, k)
+        runs = [len(list(g)) for _, g in groupby(fan.cones[0].word)]
+        assert runs == [n for n in pq[:-1] + [pq[-1] - 1] if n], (d, k)
+    assert build_fan(41, 9).cones[0].word == ("T1",) * 4 + ("T2", "T1") + ("T2",) * 3
+
+
+def test_build_fan_at_d_1000():
+    fan = build_fan(1000, 1)
+    assert len(fan.cones) == 1000
+    assert fan.cones[-1].rays == ((1, 999), (0, 1))
+
+
+def _mutate_runs(monkeypatch, mutate):
+    def mutated(*args):
+        final, runs = reduce_triple(*args)
+        return final, mutate(runs)
+    monkeypatch.setattr(locus, "reduce_triple", mutated)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda runs: runs[:-1] + [[runs[-1][0], runs[-1][1] + 1, None]],
+    lambda runs: runs + [["T1", 1, None]],
+    lambda runs: [["T2" if runs[0][0] == "T1" else "T1"] + runs[0][1:]] + runs[1:],
+    lambda runs: runs[::-1],
+], ids=["longer-run", "extra-move", "flipped-move", "reversed"])
+def test_certificate_rejects_mutated_seed_word(monkeypatch, mutate):
+    _mutate_runs(monkeypatch, mutate)
+    with pytest.raises(InternalInconsistency):
+        build_fan(41, 9)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda word, fired, terminals: fired[:1] + (-fired[1],) + fired[2:],
+    lambda word, fired, terminals: (fired[1], fired[0]) + fired[2:],
+    lambda word, fired, terminals: tuple(
+        -terminals[i][1 if move == "T2" else 0] for i, move in enumerate(word)),
+    lambda word, fired, terminals: tuple(
+        -terminals[i + 1][0 if move == "T2" else 1] for i, move in enumerate(word)),
+], ids=["negated", "swapped", "other-coordinate", "next-triple"])
+def test_certificate_rejects_mutated_fired_forms(monkeypatch, mutate):
+    prefix_forms = locus._prefix_forms
+
+    def mutated(q, runs):
+        word, fired, terminals = prefix_forms(q, runs)
+        return word, mutate(word, fired, terminals), terminals
+    monkeypatch.setattr(locus, "_prefix_forms", mutated)
+    with pytest.raises(InternalInconsistency):
+        build_fan(41, 9)
 
 
 def test_fan_walk_is_contiguous():
@@ -214,6 +418,16 @@ def test_compare_images_requires_same_d():
 @pytest.mark.parametrize("d,k", [(2, 1), (3, 2), (4, 3), (5, 2), (6, 1), (7, 4)])
 def test_compare_images_reflexive(d, k):
     assert compare_images(build_fan(d, k), build_fan(d, k)).equal
+
+
+def test_compare_images_matches_pool_scan():
+    for d in range(2, 14):
+        fans = {k: build_fan(d, k) for k in range(1, d) if gcd(k, d) == 1}
+        for k1 in fans:
+            for k2 in fans:
+                if k1 < k2:
+                    assert (compare_images(fans[k1], fans[k2]).equal
+                            == pool_scan_equal(fans[k1], fans[k2])), (d, k1, k2)
 
 
 @pytest.mark.parametrize("d", range(3, 7))

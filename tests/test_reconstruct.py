@@ -108,6 +108,20 @@ def test_boundary_tests_wrong_k():
         boundary_test_kd1(SplittingData(d=5, k=2, lp=1, l=1))
 
 
+def test_boundary_witness_kd1_matches_curve_type():
+    # the k = d - 1 twin of test_06: the witness flags exactly the dumbbells
+    lengths = sorted({Fraction(n, m) for n in range(1, 7) for m in range(1, 7)})
+    dumbbells = 0
+    for d in range(3, 9):
+        for lp in lengths:
+            for l in lengths:
+                sd = SplittingData(d=d, k=d - 1, lp=lp, l=l)
+                dumbbell = isinstance(torelli_preimage(sd).curve, DumbbellFamily)
+                assert (boundary_test_kd1(sd) is not None) == dumbbell, sd
+                dumbbells += dumbbell
+    assert dumbbells > 0
+
+
 def _slopes(cover) -> dict:
     return {e.edge: e.slope for e in cover.edges}
 

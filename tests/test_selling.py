@@ -70,6 +70,28 @@ def test_fd_representative_golden():
     assert curve == ThetaCurve(Fraction(11, 9), Fraction(5, 3), Fraction(1, 3))
 
 
+def test_fd_representative_validates_once(monkeypatch):
+    import splitjac.selling as selling
+    from splitjac.reconstruct import torelli_preimage
+    from splitjac.splitting import SplittingData
+
+    calls = []
+    check_form = selling.check_form
+    monkeypatch.setattr(selling, "check_form", lambda q: calls.append(q) or check_form(q))
+    qred, _ = selling_reduce(Q_GOLDEN)
+    calls.clear()
+    fd_representative(qred)
+    assert calls == [qred]
+    calls.clear()
+    torelli_preimage(SplittingData(d=18, k=7, lp=3, l=1))
+    assert len(calls) == 3  # selling_reduce, fd_representative, classify_curve
+    # public callers are still validated
+    with pytest.raises(NotPositiveDefinite):
+        fd_representative(qmat(1, 0, 0, -1))
+    with pytest.raises(NotInSigma):
+        fd_representative(Q_GOLDEN)
+
+
 def test_reduction_word_matrix_order():
     word = ReductionWord(runs=(("T1", 2), ("T2", 1)), preflip=True, stab=imat(0, 1, 1, 0))
     assert word.moves == ("T1", "T1", "T2")

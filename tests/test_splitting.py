@@ -8,7 +8,14 @@ from hypothesis import given
 from conftest import splitting_data
 from splitjac.errors import NonPositiveLength, ValidationError
 from splitjac.matrices import imat, qmat
-from splitjac.splitting import SplittingData, build_diagram, build_jpp, qpp, qpp_raw
+from splitjac.splitting import (
+    SplittingData,
+    build_diagram,
+    build_jpp,
+    check_dk,
+    qpp,
+    qpp_raw,
+)
 from splitjac.tav import classify, polarization_type
 
 
@@ -25,6 +32,18 @@ def test_splitting_data_validation():
         SplittingData(d=2, k=1, lp=0, l=1)
     with pytest.raises(NonPositiveLength):
         SplittingData(d=2, k=1, lp=1, l=Fraction(-1, 2))
+
+
+def test_splitting_data_takes_exact_input_only():
+    for d, k in ((True, 1), (2, True), (3, True)):
+        with pytest.raises(ValidationError):
+            SplittingData(d=d, k=k, lp=1, l=1)
+        with pytest.raises(ValidationError):
+            check_dk(d, k)
+    for lengths in ({"lp": 0.1, "l": 1}, {"lp": 1, "l": 0.5}, {"lp": 2.0, "l": 1}):
+        with pytest.raises(ValidationError):
+            SplittingData(d=3, k=1, **lengths)
+    assert SplittingData(d=3, k=1, lp=Fraction(1, 10), l=1).lp == Fraction(1, 10)
 
 
 def test_qpp_goldens():
