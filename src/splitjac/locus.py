@@ -10,15 +10,17 @@ the lp-axis to the l-axis: its word, its strict inequalities, its two extreme
 rays, and the symbolic edge-length map phi_sigma (the sigma coordinates of
 the reduced form as linear forms).  The module also compares the images of
 two such fans inside the length space of genus-2 curves up to relabeling of
-the three coordinates.
+the three coordinates, through a canonical form of each image: its maximal
+arcs in each plane.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import permutations
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ConeCapExceeded, InternalInconsistency, ValidationError
 from .matrices import Mat
@@ -71,7 +73,7 @@ class LinForm:
         """Integer-coefficient multiple with gcd 1 and b > 0 (or b = 0, a > 0)."""
         if self.is_zero():
             raise ValueError("zero form has no primitive representative")
-        x, y = _primitive_int_pair(self.a, self.b)
+        x, y = _primitive((self.a, self.b))
         if y < 0 or (y == 0 and x < 0):
             x, y = -x, -y
         return LinForm(x, y)
@@ -80,21 +82,20 @@ class LinForm:
         """Primitive direction in the closed quadrant where the form vanishes."""
         if self.is_zero():
             return None
-        x, y = _primitive_int_pair(self.b, -self.a)
+        x, y = _primitive((self.b, -self.a))
         for cand in ((x, y), (-x, -y)):
             if cand[0] >= 0 and cand[1] >= 0:
                 return cand
         return None
 
 
-def _primitive_int_pair(x, y) -> tuple:
-    fx, fy = Fraction(x), Fraction(y)
-    m = fx.denominator * fy.denominator // gcd(fx.denominator, fy.denominator)
-    xi, yi = int(fx * m), int(fy * m)
-    g = gcd(abs(xi), abs(yi))
-    if g > 1:
-        xi, yi = xi // g, yi // g
-    return (xi, yi)
+def _primitive(vals) -> tuple:
+    """The integer multiple of a nonzero rational vector whose entries have gcd 1."""
+    vals = [Fraction(v) for v in vals]
+    m = lcm(*(v.denominator for v in vals))
+    ints = [int(v * m) for v in vals]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
 
 
 def qpp_symbolic(d: int, k: int) -> Mat:
@@ -123,20 +124,9 @@ class FanDelta:
     cones: tuple
 
 
-def _seed_runs(d: int, k: int, q: Mat) -> list:
-    """Runs of the reduction at a point (1, eps) of the cone at the lp-axis.
-
-    eps starts at 1/(2d) and is halved until the terminal forms are positive
-    at the sample and nonnegative at (1, 0), i.e. the sample lies in the open
-    cone at the lp-axis, whose word is the longest of the fan.
-    """
-    for attempt in range(64):
-        eps = Fraction(1, (2 * d) << attempt)
-        (a, b, c), runs = reduce_triple(q[0, 0], q[0, 1], q[1, 1],
-                                        lambda f: f.a + f.b * eps, DEFAULT_CAP)
-        if all(t.a + t.b * eps > 0 and t.a >= 0 for t in (a + b, c + b, -b)):
-            return runs
-    raise InternalInconsistency(f"could not seed the fan of d={d}, k={k} at the lp-axis")
+def _negative_at_lp_axis(f: LinForm) -> bool:
+    """Whether f < 0 at (1, eps) for every small enough eps > 0."""
+    return f.a < 0 or (f.a == 0 and f.b < 0)
 
 
 def _prefix_forms(q: Mat, runs) -> tuple:
@@ -183,16 +173,18 @@ def _certify_fan(fired, terminals, rays) -> None:
 def build_fan(d: int, k: int, cap: int = None) -> FanDelta:
     """The fan from one reduction at the lp-axis: its cones are the word's prefixes.
 
-    The reduction at a point of the cone at the lp-axis gives the longest
-    word w, of N moves.  Cone m (m = N .. 0, from the lp-axis to the l-axis)
-    has word w[:m], inequalities fired[:m] plus the terminal forms of the
-    triple after m moves, phi_sigma those terminal forms, and upper ray the
-    kernel of fired[m - 1], or (0, 1) for m = 0.  Raises ConeCapExceeded
-    when there are more than cap cones.
+    The reduction with its signs read on the cone at the lp-axis (the signs
+    at (1, eps) for every small enough eps) gives the longest word w, of N
+    moves.  Cone m (m = N .. 0, from the lp-axis to the l-axis) has word
+    w[:m], inequalities fired[:m] plus the terminal forms of the triple
+    after m moves, phi_sigma those terminal forms, and upper ray the kernel
+    of fired[m - 1], or (0, 1) for m = 0.  Raises ConeCapExceeded when there
+    are more than cap cones.
     """
     check_dk(d, k)
     q = qpp_symbolic(d, k)
-    word, fired, terminals = _prefix_forms(q, _seed_runs(d, k, q))
+    _, runs = reduce_triple(q[0, 0], q[0, 1], q[1, 1], _negative_at_lp_axis, DEFAULT_CAP)
+    word, fired, terminals = _prefix_forms(q, runs)
     n = len(word)
     if cap is not None and n + 1 > cap:
         raise ConeCapExceeded(f"more than {cap} cones for d={d}, k={k}")
@@ -224,36 +216,23 @@ def boundary_rays(d: int, k: int, fan: FanDelta = None) -> tuple:
 
 # --- image comparison up to relabeling of the three length coordinates ---
 
-_PERMS3 = tuple(permutations(range(3)))
-
-
-def _apply_perm(perm, v):
-    return tuple(v[perm[i]] for i in range(3))
-
-
-def _primitive_vec3(vals) -> tuple:
-    m = 1
-    for v in vals:
-        den = Fraction(v).denominator
-        m = m * den // gcd(m, den)
-    ints = [int(Fraction(v) * m) for v in vals]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints)
-
-
 def _cross3(u, v) -> tuple:
     return (u[1] * v[2] - u[2] * v[1],
             u[2] * v[0] - u[0] * v[2],
             u[0] * v[1] - u[1] * v[0])
 
 
+def _turn(u, v, n):
+    """(u x v) . n: positive when v comes after u in the turn order about n."""
+    c = _cross3(u, v)
+    return c[0] * n[0] + c[1] * n[1] + c[2] * n[2]
+
+
 def _plane_normal(v1, v2) -> tuple:
     c = _cross3(v1, v2)
     if c == (0, 0, 0):
         raise InternalInconsistency(f"degenerate image cone: {v1}, {v2}")
-    n = _primitive_vec3(c)
+    n = _primitive(c)
     for x in n:
         if x != 0:
             return n if x > 0 else tuple(-y for y in n)
@@ -271,98 +250,50 @@ def image_cones(fan: FanDelta) -> tuple:
                 raise InternalInconsistency(f"image of ray {ray} is zero")
             if any(v < 0 for v in vals):
                 raise InternalInconsistency(f"image of ray {ray} leaves the positive octant")
-            vecs.append(_primitive_vec3(vals))
+            vecs.append(_primitive(vals))
         _plane_normal(vecs[0], vecs[1])  # raises if the image degenerates to a line
         out.append((vecs[0], vecs[1]))
     return tuple(out)
 
 
-def _saturate(cones) -> tuple:
-    out = set()
-    for v1, v2 in cones:
-        for perm in _PERMS3:
-            w1, w2 = _apply_perm(perm, v1), _apply_perm(perm, v2)
-            out.add((w1, w2) if w1 <= w2 else (w2, w1))
-    return tuple(sorted(out))
-
-def _solve_interval(v1, v2, w1, w2):
-    """s-range in [0, 1] where (1-s) v1 + s v2 lies in cone(w1, w2), or None."""
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        det = w1[i] * w2[j] - w1[j] * w2[i]
-        if det != 0:
-            break
-    else:
-        raise InternalInconsistency("collinear generators in image cone")
-    dv = tuple(v2[t] - v1[t] for t in range(3))
-    a0 = Fraction(v1[i] * w2[j] - v1[j] * w2[i], det)
-    a1 = Fraction(dv[i] * w2[j] - dv[j] * w2[i], det)
-    b0 = Fraction(w1[i] * v1[j] - w1[j] * v1[i], det)
-    b1 = Fraction(w1[i] * dv[j] - w1[j] * dv[i], det)
-    for s_val, av, bv in ((0, a0, b0), (1, a0 + a1, b0 + b1)):
-        x = v1 if s_val == 0 else v2
-        for t in range(3):
-            if av * w1[t] + bv * w2[t] != x[t]:
-                return None  # not coplanar with (w1, w2) after all
-    lo, hi = Fraction(0), Fraction(1)
-    for c0, c1 in ((a0, a1), (b0, b1)):
-        if c1 == 0:
-            if c0 < 0:
-                return None
-        elif c1 > 0:
-            lo = max(lo, -c0 / c1)
-        else:
-            hi = min(hi, -c0 / c1)
-    if lo > hi:
-        return None
-    return (lo, hi)
+def _relabelings(v1, v2):
+    """The six relabelings of a generator pair, each pair sorted."""
+    for perm in permutations(range(3)):
+        w1, w2 = tuple(v1[i] for i in perm), tuple(v2[i] for i in perm)
+        yield (w1, w2) if w1 <= w2 else (w2, w1)
 
 
-def _by_plane(cones) -> dict:
-    """Image cones grouped by the primitive normal of their plane."""
-    planes = {}
-    for cone in cones:
-        planes.setdefault(_plane_normal(*cone), []).append(cone)
-    return planes
-
-
-def _covered(cone, pool) -> bool:
-    """Whether cone is contained in the union of the pool's cones (all 2D, exact).
-
-    The pool holds the cones that lie in cone's plane.
-    """
-    v1, v2 = cone
-    intervals = []
-    for w1, w2 in pool:
-        interval = _solve_interval(v1, v2, w1, w2)
-        if interval is not None:
-            intervals.append(interval)
-    intervals.sort()
-    reach = Fraction(0)
-    for lo, hi in intervals:
-        if lo > reach:
-            return False
-        reach = max(reach, hi)
-        if reach >= 1:
-            return True
-    return reach >= 1
-
-
-def _covers(planes, pool) -> bool:
-    """Whether each cone of planes lies in the union of pool's cones in its plane.
-
-    pool must have a group for every plane of planes.
-    """
-    return all(_covered(cone, pool[n]) for n, cones in planes.items() for cone in cones)
+def _saturate(cones) -> set:
+    return {pair for cone in cones for pair in _relabelings(*cone)}
 
 
 def canonical_image(v1, v2) -> tuple:
     """Lexicographically minimal relabeling of an image cone's generator pair."""
-    best = None
-    for perm in _PERMS3:
-        pair = tuple(sorted((_apply_perm(perm, v1), _apply_perm(perm, v2))))
-        if best is None or pair < best:
-            best = pair
-    return best
+    return min(_relabelings(v1, v2))
+
+
+def _arcs(cones) -> dict:
+    """Canonical form of a union of image cones: {plane normal: its maximal arcs}.
+
+    The rays of the positive octant in one plane are totally ordered by the
+    turn order about its normal, so the union in each plane is a unique
+    sorted tuple of disjoint, non-touching arcs (first ray, last ray).
+    """
+    sectors = {}
+    for v1, v2 in cones:
+        n = _plane_normal(v1, v2)
+        sectors.setdefault(n, []).append((v1, v2) if _turn(v1, v2, n) > 0 else (v2, v1))
+    out = {}
+    for n, group in sectors.items():
+        group.sort(key=cmp_to_key(lambda s, t: _turn(t[0], s[0], n)))
+        arcs = [list(group[0])]
+        for lo, hi in group[1:]:
+            if _turn(arcs[-1][1], lo, n) > 0:
+                arcs.append([lo, hi])
+            elif _turn(arcs[-1][1], hi, n) > 0:
+                arcs[-1][1] = hi
+        out[n] = tuple(map(tuple, arcs))
+    return out
 
 
 @dataclass(frozen=True)
@@ -377,9 +308,6 @@ def compare_images(fan1: FanDelta, fan2: FanDelta) -> ComparisonResult:
     if fan1.d != fan2.d:
         raise ValidationError(f"fans have different d: {fan1.d} != {fan2.d}")
     ic1, ic2 = image_cones(fan1), image_cones(fan2)
-    planes1, planes2 = _by_plane(_saturate(ic1)), _by_plane(_saturate(ic2))
-    equal = (planes1.keys() == planes2.keys()
-             and _covers(planes1, planes2) and _covers(planes2, planes1))
-    return ComparisonResult(equal=equal,
+    return ComparisonResult(equal=_arcs(_saturate(ic1)) == _arcs(_saturate(ic2)),
                             images1=tuple(canonical_image(*c) for c in ic1),
                             images2=tuple(canonical_image(*c) for c in ic2))

@@ -61,6 +61,11 @@ def selling_params(q: Mat) -> SellingParams:
     return SellingParams(p12=q[0, 1], p13=-q[0, 0] - q[0, 1], p23=-q[1, 1] - q[0, 1])
 
 
+def _coords(q: Mat) -> tuple:
+    """(l1, l2, l3) = (q11 + q12, q22 + q12, -q12); sigma is where all are >= 0."""
+    return (q[0, 0] + q[0, 1], q[1, 1] + q[0, 1], -q[0, 1])
+
+
 def in_sigma(q: Mat) -> bool:
     check_form(q)
     return selling_params(q).all_nonpositive()
@@ -72,16 +77,13 @@ def sigma_coords(q: Mat) -> tuple:
     p = selling_params(q)
     if not p.all_nonpositive():
         raise NotInSigma(f"Selling parameters not all nonpositive: {p}")
-    return (-p.p13, -p.p23, -p.p12)
+    return _coords(q)
 
 
 def in_fundamental_domain(q: Mat) -> bool:
     check_form(q)
-    p = selling_params(q)
-    if not p.all_nonpositive():
-        return False
-    l1, l2, l3 = -p.p13, -p.p23, -p.p12
-    return l3 <= l1 <= l2
+    l1, l2, l3 = _coords(q)
+    return 0 <= l3 <= l1 <= l2
 
 
 @dataclass(frozen=True)
@@ -112,22 +114,22 @@ class ReductionWord:
         return tuple(n for _, n in reversed(self.runs))
 
 
-def reduce_triple(a, b, c, value=lambda x: x, cap: int = DEFAULT_CAP) -> tuple:
+def reduce_triple(a, b, c, negative=lambda x: x < 0, cap: int = DEFAULT_CAP) -> tuple:
     """Selling-reduce the form triple (a, b, c) = (q11, q12, q22) by unit moves.
 
-    T2: (a, b, c) -> (a, b + a, c + 2b + a) while value(a) + value(b) < 0
-    (p13 > 0), else T1: (a, b, c) -> (a + 2b + c, b + c, c) while
-    value(c) + value(b) < 0 (p23 > 0); both cannot hold, as p13 + p23 < 0 for
-    definite forms.  value is the identity for rationals and evaluation at a
-    sample point for symbolic entries.  Returns (reduced triple, runs), runs
+    T2: (a, b, c) -> (a, b + a, c + 2b + a) while negative(a + b) (p13 > 0),
+    else T1: (a, b, c) -> (a + 2b + c, b + c, c) while negative(c + b)
+    (p23 > 0); both cannot hold, as p13 + p23 < 0 for definite forms.
+    negative is the sign test: x < 0 for rationals, and for symbolic entries
+    the sign at a point or on a cone.  Returns (reduced triple, runs), runs
     being [move, n, triple at the run's start] in application order; raises
     IterationCapExceeded when cap or more moves are needed.
     """
     runs = []
     for _ in range(cap):
-        if value(a) + value(b) < 0:
+        if negative(a + b):
             move, nxt = "T2", (a, b + a, c + 2 * b + a)
-        elif value(c) + value(b) < 0:
+        elif negative(c + b):
             move, nxt = "T1", (a + 2 * b + c, b + c, c)
         else:
             return (a, b, c), runs
@@ -196,8 +198,7 @@ def fd_representative(q: Mat) -> tuple:
         return q, Mat.identity(2)
     for x in stab_sigma():
         q2 = congruence_act(x, q)
-        p = selling_params(q2)
-        l1, l2, l3 = -p.p13, -p.p23, -p.p12
+        l1, l2, l3 = _coords(q2)
         if l3 <= l1 <= l2:
             return q2, x
     raise InternalInconsistency("no stabilizer element sorts the sigma coordinates")

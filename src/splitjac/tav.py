@@ -74,6 +74,10 @@ class Tav:
     polarization: Mat | None = None
 
     def __post_init__(self):
+        for name in ("pairing", "polarization"):
+            m = getattr(self, name)
+            if m is not None and any(isinstance(x, float) for row in m.rows for x in row):
+                raise ValidationError(f"{name} must be exact, got the float entries {m.rows!r}")
         p = self.pairing.map(Fraction)
         if p.nrows != p.ncols:
             raise ValidationError("pairing matrix must be square")
@@ -109,6 +113,8 @@ class Tav:
 
 def circle(length) -> Tav:
     """Tropical elliptic curve: a circle of the given circumference (rank 1)."""
+    if isinstance(length, float):
+        raise ValidationError(f"length must be exact, got the float {length!r}")
     val = Fraction(length)
     if val <= 0:
         raise NonPositiveLength(f"length must be positive, got {val}")

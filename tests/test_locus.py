@@ -2,14 +2,14 @@
 
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import groupby
+from itertools import groupby, permutations
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import splitjac.locus as locus
-from conftest import positive_rationals
+from conftest import positive_rationals, rationals
 from splitjac.errors import (
     ConeCapExceeded,
     DegenerateSample,
@@ -46,7 +46,7 @@ def _walk_symbolic_reduce(d, k, sample):
     q = qpp_symbolic(d, k)
     lp, l = sample
     (a, b, c), runs = reduce_triple(q[0, 0], q[0, 1], q[1, 1],
-                                    lambda f: f.evaluate(lp, l), DEFAULT_CAP)
+                                    lambda f: f.evaluate(lp, l) < 0, DEFAULT_CAP)
     moves, fired = [], []
     for move, n, (a0, b0, c0) in runs:
         step = a0 if move == "T2" else c0
@@ -117,6 +117,38 @@ def walk_fan(d, k):
     return FanDelta(d=d, k=k, cones=tuple(cones))
 
 
+def _solve_interval(v1, v2, w1, w2):
+    """s-range in [0, 1] where (1-s) v1 + s v2 lies in cone(w1, w2), or None."""
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        det = w1[i] * w2[j] - w1[j] * w2[i]
+        if det != 0:
+            break
+    else:
+        raise AssertionError("collinear generators in image cone")
+    dv = tuple(v2[t] - v1[t] for t in range(3))
+    a0 = Fraction(v1[i] * w2[j] - v1[j] * w2[i], det)
+    a1 = Fraction(dv[i] * w2[j] - dv[j] * w2[i], det)
+    b0 = Fraction(w1[i] * v1[j] - w1[j] * v1[i], det)
+    b1 = Fraction(w1[i] * dv[j] - w1[j] * dv[i], det)
+    for s_val, av, bv in ((0, a0, b0), (1, a0 + a1, b0 + b1)):
+        x = v1 if s_val == 0 else v2
+        for t in range(3):
+            if av * w1[t] + bv * w2[t] != x[t]:
+                return None  # not coplanar with (w1, w2) after all
+    lo, hi = Fraction(0), Fraction(1)
+    for c0, c1 in ((a0, a1), (b0, b1)):
+        if c1 == 0:
+            if c0 < 0:
+                return None
+        elif c1 > 0:
+            lo = max(lo, -c0 / c1)
+        else:
+            hi = min(hi, -c0 / c1)
+    if lo > hi:
+        return None
+    return (lo, hi)
+
+
 def _pool_covered(cone, pool):
     v1, v2 = cone
     n = locus._plane_normal(v1, v2)
@@ -124,7 +156,7 @@ def _pool_covered(cone, pool):
     for w1, w2 in pool:
         if locus._plane_normal(w1, w2) != n:
             continue
-        interval = locus._solve_interval(v1, v2, w1, w2)
+        interval = _solve_interval(v1, v2, w1, w2)
         if interval is not None:
             intervals.append(interval)
     intervals.sort()
@@ -173,6 +205,18 @@ def test_linform_algebra():
     assert LinForm(0, 0).is_zero()
     with pytest.raises(ValueError):
         LinForm(0, 0).primitive()
+
+
+@given(rationals(), rationals(), positive_rationals())
+@example(Fraction(0), Fraction(-1), Fraction(1))  # a = 0: the sign of b decides
+@example(Fraction(0), Fraction(1), Fraction(1))
+def test_lp_axis_sign_is_the_sign_near_the_lp_axis(a, b, eps):
+    assume(a != 0 or b != 0)
+    f = LinForm(a, b)
+    if a != 0 and b != 0:
+        eps = min(eps, abs(a) / (2 * abs(b)))  # then |b * eps| < |a|
+    for e in (eps, eps / 3, eps / 1000):
+        assert locus._negative_at_lp_axis(f) == (f.evaluate(1, e) < 0)
 
 
 def test_qpp_symbolic_matches_concrete():
@@ -398,6 +442,23 @@ def test_canonical_image_is_relabeling_invariant():
     v1, v2 = (0, 0, 1), (2, 1, 0)
     assert canonical_image(v1, v2) == canonical_image(v2, v1)
     assert canonical_image((0, 1, 0), (1, 0, 2)) == canonical_image(v1, v2)
+
+
+def test_arcs_are_a_canonical_form_of_the_union():
+    a, e, b, c = (1, 0, 0), (2, 1, 0), (1, 1, 0), (0, 1, 0)  # turn order about (0, 0, 1)
+    x, z = (1, 0, 1), (0, 0, 1)  # a plane with normal (0, 1, 0)
+    whole = {(0, 0, 1): ((a, c),)}
+    assert locus._arcs([(c, a)]) == whole
+    # split at interior rays, in every order, or with duplicates: the same arcs
+    for cones in permutations([(a, e), (b, e), (c, b), (a, b)]):
+        assert locus._arcs(cones) == whole
+    assert locus._arcs([(a, c), (c, a), (b, e)]) == whole
+    # overlapping and touching cones merge; disjoint cones stay separate
+    assert locus._arcs([(b, c), (a, b)]) == whole
+    assert locus._arcs([(e, c), (a, b)]) == whole
+    assert locus._arcs([(b, c), (a, e)]) == {(0, 0, 1): ((a, e), (b, c))}
+    assert locus._arcs([(z, x), (b, c), (a, x), (e, a)]) == {
+        (0, 0, 1): ((a, e), (b, c)), (0, 1, 0): ((z, a),)}
 
 
 def test_compare_images_d3_golden():

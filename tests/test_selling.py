@@ -118,8 +118,11 @@ def test_selling_reduce_validates():
 
 
 def test_sigma_coords_outside():
-    with pytest.raises(NotInSigma):
-        sigma_coords(Q_GOLDEN)
+    # qmat(2, 1, 1, 2) has l3 <= l1 <= l2 but l3 = -1 < 0
+    for q in (Q_GOLDEN, qmat(2, 1, 1, 2)):
+        with pytest.raises(NotInSigma):
+            sigma_coords(q)
+        assert in_fundamental_domain(q) is False
 
 
 def test_stab_sigma_structure():

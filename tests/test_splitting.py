@@ -1,12 +1,14 @@
 """Splitting data, the glued rank-2 variety, and the two-circle diagram."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 
 from conftest import splitting_data
-from splitjac.errors import NonPositiveLength, ValidationError
+import splitjac.splitting as splitting
+from splitjac.errors import InternalInconsistency, NonPositiveLength, ValidationError
 from splitjac.matrices import imat, qmat
 from splitjac.splitting import (
     SplittingData,
@@ -96,6 +98,15 @@ def test_build_diagram_golden():
     assert dg.g2.rows == ((0, 1),)
     assert dg.kernel_normalized == ((0, 0), (Fraction(1, 2), Fraction(1, 2)))
     assert dg.kernel_raw == ((0, 0), (Fraction(1, 2), Fraction(3, 2)))
+
+
+@pytest.mark.parametrize("wrong", [imat(2, 0, 0, 1), imat(2, 1, 1, 1), imat(1, 1, 0, 1),
+                                   imat(1, 0, 0, 2)])
+def test_build_diagram_rejects_a_wrong_adjoint(monkeypatch, wrong):
+    # every identity g_i @ f_j = d * delta_ij is an entry of phitilde @ phi
+    monkeypatch.setattr(splitting, "adjoint", lambda *args: SimpleNamespace(mflat=wrong))
+    with pytest.raises(InternalInconsistency):
+        build_diagram(SplittingData(d=2, k=1, lp=1, l=3))
 
 
 @given(splitting_data(max_d=10, max_num=12, max_den=6))

@@ -76,6 +76,10 @@ def test_circle_and_direct_sum():
     assert pr.polarization == EYE
     with pytest.raises(NonPositiveLength):
         circle(0)
+    for length in (0.1, 2.0):  # exact input only
+        with pytest.raises(ValidationError):
+            circle(length)
+    assert circle(Fraction(1, 10)).pairing == Mat(((Fraction(1, 10),),))
     with pytest.raises(UnsupportedRank):
         direct_sum(pr, circle(1))
 
@@ -91,6 +95,11 @@ def test_tav_validation():
         Tav(imat(1, 2, 0, 1), EYE)  # Gram not symmetric
     with pytest.raises(NotPositiveDefinite):
         Tav(imat(-1, 0, 0, 1), EYE)
+    with pytest.raises(ValidationError):
+        Tav(Mat(((0.5, 0), (0, 0.25))))  # float pairing
+    with pytest.raises(ValidationError):
+        Tav(imat(2, 1, 1, 2), Mat(((1.0, 0), (0, 1))))  # float polarization
+    assert Tav(qmat("1/2", 0, 0, "1/4")).pairing == qmat("1/2", 0, 0, "1/4")
 
 
 def test_polarization_type_goldens():
