@@ -90,10 +90,9 @@ class LinForm:
 
 
 def _primitive(vals) -> tuple:
-    """The integer multiple of a nonzero rational vector whose entries have gcd 1."""
-    vals = [Fraction(v) for v in vals]
+    """The integer multiple of a nonzero int or Fraction vector whose entries have gcd 1."""
     m = lcm(*(v.denominator for v in vals))
-    ints = [int(v * m) for v in vals]
+    ints = [v.numerator * (m // v.denominator) for v in vals]
     g = gcd(*ints)
     return tuple(x // g for x in ints)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import SingularMatrix, UnsupportedRank
+from .errors import InternalInconsistency, SingularMatrix, UnsupportedRank
 
 Rat = Fraction
 
@@ -39,7 +39,12 @@ def parse_rat(s: str) -> Fraction:
 
 @dataclass(frozen=True)
 class Mat:
-    """Immutable matrix as a tuple of row tuples."""
+    """Immutable matrix as a tuple of row tuples.
+
+    The public constructor `Mat(rows)` validates its rows.  Results of `@`, `.T`,
+    `map`, `imat` and `qmat` are built by `_mat`, which skips that check because
+    their shape is known to be good.
+    """
 
     rows: tuple
 
@@ -76,18 +81,15 @@ class Mat:
         return self.rows[i][j]
 
     def __matmul__(self, other: "Mat") -> "Mat":
-        if self.ncols != other.nrows:
+        a, b = self.rows, other.rows
+        n = len(b)
+        if len(a[0]) != n:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = self.rows[i][0] * other.rows[0][j]
-                for t in range(1, self.ncols):
-                    acc = acc + self.rows[i][t] * other.rows[t][j]
-                row.append(acc)
-            out.append(tuple(row))
-        return Mat(tuple(out))
+        cols = tuple(zip(*b))
+        # Each entry is a0*b0, then acc + a1*b1, ...: symbolic entries see the same calls.
+        if n == 2:
+            return _mat(tuple(tuple(r0 * c0 + r1 * c1 for c0, c1 in cols) for r0, r1 in a))
+        return _mat(tuple(tuple(_dot(r, c) for c in cols) for r in a))
 
     def __add__(self, other: "Mat") -> "Mat":
         if self.shape != other.shape:
@@ -105,12 +107,11 @@ class Mat:
         return self.map(lambda x: c * x)
 
     def map(self, fn) -> "Mat":
-        return Mat(tuple(tuple(fn(x) for x in r) for r in self.rows))
+        return _mat(tuple(tuple(map(fn, r)) for r in self.rows))
 
     @property
     def T(self) -> "Mat":
-        return Mat(tuple(tuple(self.rows[i][j] for i in range(self.nrows))
-                         for j in range(self.ncols)))
+        return _mat(tuple(zip(*self.rows)))
 
     def det(self):
         if self.shape == (1, 1):
@@ -133,21 +134,52 @@ class Mat:
             for i in range(self.nrows) for j in range(i + 1, self.ncols))
 
     def is_integral(self) -> bool:
-        return all(Fraction(x).denominator == 1 for r in self.rows for x in r)
+        return all(_denominator(x) == 1 for r in self.rows for x in r)
 
     def to_int(self) -> "Mat":
         if not self.is_integral():
             raise ValueError("matrix is not integral")
-        return self.map(lambda x: int(Fraction(x)))
+        return self.map(_to_int)
 
     def to_strs(self) -> list:
         """Row-major nested list of exact rational strings (for JSON)."""
         return [[rat_str(x) for x in r] for r in self.rows]
 
 
+def _mat(rows: tuple) -> Mat:
+    """A Mat from a nonempty tuple of equal-length row tuples, not re-validated."""
+    m = object.__new__(Mat)
+    object.__setattr__(m, "rows", rows)
+    return m
+
+
+def _dot(r, c):
+    acc = r[0] * c[0]
+    for t in range(1, len(r)):
+        acc = acc + r[t] * c[t]
+    return acc
+
+
+def _denominator(x) -> int:
+    if isinstance(x, int):
+        return 1
+    if isinstance(x, Fraction):
+        return x.denominator
+    return Fraction(x).denominator
+
+
+def _to_int(x) -> int:
+    """The int value of an integral entry."""
+    if isinstance(x, int):
+        return int(x)
+    if isinstance(x, Fraction):
+        return x.numerator
+    return int(Fraction(x))
+
+
 def imat(a, b, c, d) -> Mat:
     """2x2 integer matrix [[a,b],[c,d]]."""
-    return Mat(((int(a), int(b)), (int(c), int(d))))
+    return _mat(((int(a), int(b)), (int(c), int(d))))
 
 
 # Sign flip of the second basis vector: turns q12 into -q12.
@@ -156,7 +188,7 @@ SFLIP = imat(1, 0, 0, -1)
 
 def qmat(a, b, c, d) -> Mat:
     """2x2 rational matrix [[a,b],[c,d]]."""
-    return Mat(((Fraction(a), Fraction(b)), (Fraction(c), Fraction(d))))
+    return _mat(((Fraction(a), Fraction(b)), (Fraction(c), Fraction(d))))
 
 
 def col2(a, b) -> Mat:
@@ -275,7 +307,7 @@ def snf2(a: Mat) -> Snf2:
                 continue
             break
     else:
-        raise AssertionError("snf2 elimination failed to converge")
+        raise InternalInconsistency(f"snf2 elimination failed to converge on {a.rows}")
     if m[0][0] == 0 and m[1][1] != 0:
         lmul([[0, 1], [1, 0]])
         rmul([[0, 1], [1, 0]])
@@ -286,16 +318,18 @@ def snf2(a: Mat) -> Snf2:
 
     um, dm, vm = Mat.of(u), Mat.of(m), Mat.of(v)
     a_int = a.to_int()
-    assert dm[0, 1] == 0 and dm[1, 0] == 0
-    assert dm[0, 0] >= 0 and dm[1, 1] >= 0
-    if dm[0, 0] == 0:
-        assert dm[1, 1] == 0
-    else:
-        assert dm[1, 1] % dm[0, 0] == 0
-    assert abs(um.det()) == 1 and abs(vm.det()) == 1
-    assert um @ a_int @ vm == dm
-    assert dm[0, 0] * dm[1, 1] == abs(a_int.det())
-    g_all = gcd(gcd(abs(a_int[0, 0]), abs(a_int[0, 1])),
-                gcd(abs(a_int[1, 0]), abs(a_int[1, 1])))
-    assert dm[0, 0] == g_all
+    g1, g2 = dm[0, 0], dm[1, 1]
+    g_all = gcd(gcd(a_int[0, 0], a_int[0, 1]), gcd(a_int[1, 0], a_int[1, 1]))
+    checks = (
+        ("diagonal", dm[0, 1] == 0 and dm[1, 0] == 0),
+        ("nonnegative", g1 >= 0 and g2 >= 0),
+        ("divisibility", g2 == 0 if g1 == 0 else g2 % g1 == 0),
+        ("unimodular", abs(um.det()) == 1 and abs(vm.det()) == 1),
+        ("u @ a @ v == d", um @ a_int @ vm == dm),
+        ("determinant", g1 * g2 == abs(a_int.det())),
+        ("gcd of entries", g1 == g_all),
+    )
+    failed = [name for name, ok in checks if not ok]
+    if failed:
+        raise InternalInconsistency(f"snf2 certificate failed ({', '.join(failed)}) for {a.rows}")
     return Snf2(u=um, d=dm, v=vm)

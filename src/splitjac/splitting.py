@@ -150,6 +150,23 @@ class SplitDiagram:
     gram: Mat      # pp pairing matrix (from build_jpp)
 
 
+def kernel_numerators(phi: Mat, d: int, k: int) -> tuple:
+    """Numerators (u, v) of the kernel points (u/d, v/d) of phi, u = k*v mod d, certified.
+
+    Each point is checked to map into Z^2 under phi's own integer entries, and
+    the points are checked to form a graph of order d over each circle.
+    """
+    (p00, p01), (p10, p11) = phi.rows
+    points = tuple((k * v % d, v) for v in range(d))
+    for u, v in points:
+        if (p00 * u + p01 * v) % d or (p10 * u + p11 * v) % d:
+            raise InternalInconsistency(
+                f"kernel point ({Fraction(u, d)},{Fraction(v, d)}) not killed by phi")
+    if len({u for u, _ in points}) != d or len({v for _, v in points}) != d:
+        raise InternalInconsistency("kernel is not a graph of order d")
+    return points
+
+
 def build_diagram(sd: SplittingData) -> SplitDiagram:
     jm = build_jpp(sd)
     phi = jm.splitting_isogeny.mflat
@@ -163,17 +180,9 @@ def build_diagram(sd: SplittingData) -> SplitDiagram:
     g1 = row2(phitilde[0, 0], phitilde[0, 1])
     g2 = row2(phitilde[1, 0], phitilde[1, 1])
 
-    kernel_norm = []
-    for j in range(d):
-        u = Fraction(sd.k * j, d) % 1
-        v = Fraction(j, d) % 1
-        img = phi @ col2(u, v)
-        if img[0, 0] % 1 != 0 or img[1, 0] % 1 != 0:
-            raise InternalInconsistency(f"kernel point ({u},{v}) not killed by phi")
-        kernel_norm.append((u, v))
-    if len({u for u, _ in kernel_norm}) != d or len({v for _, v in kernel_norm}) != d:
-        raise InternalInconsistency("kernel is not a graph of order d")
+    kernel_norm = tuple((Fraction(u, d), Fraction(v, d))
+                        for u, v in kernel_numerators(phi, d, sd.k))
     kernel_raw = tuple((u * sd.lp, v * sd.l) for u, v in kernel_norm)
     return SplitDiagram(sd=sd, phi=phi, phitilde=phitilde, f1=f1, f2=f2, g1=g1, g2=g2,
-                        kernel_normalized=tuple(kernel_norm), kernel_raw=kernel_raw,
+                        kernel_normalized=kernel_norm, kernel_raw=kernel_raw,
                         zeta=jm.zeta, gram=jm.gram)

@@ -1,13 +1,18 @@
 """Exact matrix kernel: inverses, congruence action, Smith normal form."""
 
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
+import splitjac.matrices as matrices
 from conftest import integer_mats, pd_forms, rationals, unimodular2
-from splitjac.errors import SingularMatrix, UnsupportedRank
+from splitjac.errors import InternalInconsistency, SingularMatrix, UnsupportedRank
+from splitjac.locus import LinForm
 from splitjac.matrices import (
     Mat,
     congruence_act,
@@ -44,6 +49,151 @@ def test_mat_basic_ops():
 def test_mat_rejects_ragged():
     with pytest.raises(ValueError):
         Mat(((1, 2), (3,)))
+
+
+@pytest.mark.parametrize("rows", [(), ((),), ((), ()), ((1, 2), (3,)), ((1,), (2, 3)), [[1], []]])
+def test_mat_and_mat_of_reject_empty_and_ragged_rows(rows):
+    with pytest.raises(ValueError):
+        Mat(rows)
+    with pytest.raises(ValueError):
+        Mat.of(rows)
+
+
+def test_mat_normalizes_its_rows_to_tuples():
+    assert Mat([[1, 2], [3, 4]]).rows == ((1, 2), (3, 4))
+    assert Mat.of(iter([iter([1]), iter([2])])).rows == ((1,), (2,))
+
+
+# The generic implementations the fast paths replaced, kept as oracles.
+def oracle_matmul(x: Mat, y: Mat) -> Mat:
+    if x.ncols != y.nrows:
+        raise ValueError(f"shape mismatch {x.shape} @ {y.shape}")
+    out = []
+    for i in range(x.nrows):
+        row = []
+        for j in range(y.ncols):
+            acc = x.rows[i][0] * y.rows[0][j]
+            for t in range(1, x.ncols):
+                acc = acc + x.rows[i][t] * y.rows[t][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return Mat(tuple(out))
+
+
+def oracle_transpose(x: Mat) -> Mat:
+    return Mat(tuple(tuple(x.rows[i][j] for i in range(x.nrows)) for j in range(x.ncols)))
+
+
+def oracle_is_integral(x: Mat) -> bool:
+    return all(Fraction(v).denominator == 1 for r in x.rows for v in r)
+
+
+class Sym:
+    """Symbolic entry that logs every ring operation made on it, in call order."""
+
+    def __init__(self, name, log):
+        self.name, self.log = name, log
+
+    def _op(self, op, lhs, rhs):
+        self.log.append((op, lhs, rhs))
+        return Sym(f"({lhs}{op}{rhs})", self.log)
+
+    def __mul__(self, c):
+        return self._op("*", self.name, getattr(c, "name", repr(c)))
+
+    def __rmul__(self, c):
+        return self._op("*", repr(c), self.name)
+
+    def __add__(self, c):
+        return self._op("+", self.name, getattr(c, "name", repr(c)))
+
+    def __eq__(self, other):
+        return isinstance(other, Sym) and self.name == other.name
+
+
+def _mat_of(draw, shape, entry):
+    return Mat(tuple(tuple(draw(entry) for _ in range(shape[1])) for _ in range(shape[0])))
+
+
+_ints = st.integers(min_value=-20, max_value=20)
+_scalars = st.one_of(_ints, rationals(max_den=6))
+_linforms = st.builds(LinForm, rationals(max_den=4), rationals(max_den=4))
+# Shapes m x n @ n x p cover 1x1, 1x2, 2x1, 2x2 and 2x2 @ 2x3, and inner dimension 3.
+_shapes = st.tuples(st.sampled_from((1, 2)), st.sampled_from((1, 2, 3)), st.sampled_from((1, 2, 3)))
+
+
+@st.composite
+def _product_operands(draw):
+    m, n, p = draw(_shapes)
+    kind = draw(st.sampled_from(("int", "fraction", "linform")))
+    entry = {"int": _ints, "fraction": _scalars, "linform": _linforms}[kind]
+    # LinForm times LinForm is undefined, so symbolic entries go on one side only.
+    left_symbolic = draw(st.booleans())
+    x = _mat_of(draw, (m, n), entry if left_symbolic else _scalars)
+    y = _mat_of(draw, (n, p), _scalars if left_symbolic else entry)
+    return x, y
+
+
+def _well_formed(x: Mat) -> bool:
+    rows = x.rows
+    return (type(rows) is tuple and len(rows) > 0 and all(type(r) is tuple for r in rows)
+            and len({len(r) for r in rows}) == 1 and len(rows[0]) > 0)
+
+
+@given(_product_operands())
+def test_matmul_and_transpose_match_the_generic_oracles(xy):
+    x, y = xy
+    for got, want in ((x @ y, oracle_matmul(x, y)), (x.T, oracle_transpose(x)),
+                      (y.T, oracle_transpose(y)),
+                      (x.map(lambda v: -v), Mat(tuple(tuple(-v for v in r) for r in x.rows)))):
+        assert got == want
+        assert got.shape == want.shape
+        assert _well_formed(got)
+
+
+@pytest.mark.parametrize("shapes", [((1, 1), (1, 1)), ((1, 2), (2, 1)), ((2, 1), (1, 2)),
+                                    ((2, 2), (2, 2)), ((2, 2), (2, 3)), ((2, 3), (3, 2))])
+def test_matmul_makes_the_oracles_calls_in_the_oracles_order(shapes):
+    (m, n), (_, p) = shapes
+    logs = ([], [])
+    results = []
+    for log, product in zip(logs, (Mat.__matmul__, oracle_matmul)):
+        x = Mat(tuple(tuple(Sym(f"x{i}{t}", log) for t in range(n)) for i in range(m)))
+        y = Mat(tuple(tuple(Sym(f"y{t}{j}", log) for j in range(p)) for t in range(n)))
+        results.append(product(x, y))
+    assert results[0] == results[1]
+    assert logs[0] == logs[1]
+
+
+@pytest.mark.parametrize("y", [Mat(((1, 2, 3),)), Mat(((1,), (2,), (3,))), Mat(((1,),))])
+def test_matmul_rejects_mismatched_shapes(y):
+    with pytest.raises(ValueError, match="shape mismatch"):
+        imat(1, 2, 3, 4) @ y
+
+
+@given(st.tuples(st.sampled_from((1, 2)), st.sampled_from((1, 2, 3))).flatmap(
+    lambda shape: st.lists(st.lists(st.one_of(_ints, rationals(max_den=3), st.booleans()),
+                                    min_size=shape[1], max_size=shape[1]),
+                           min_size=shape[0], max_size=shape[0])))
+def test_is_integral_and_to_int_match_the_oracle(rows):
+    x = Mat.of(rows)
+    assert x.is_integral() == oracle_is_integral(x)
+    if x.is_integral():
+        as_int = x.to_int()
+        assert as_int.rows == x.map(lambda v: int(Fraction(v))).rows
+        assert all(type(v) is int for r in as_int.rows for v in r)
+        assert _well_formed(as_int)
+    else:
+        with pytest.raises(ValueError):
+            x.to_int()
+
+
+def test_is_integral_coerces_other_entries_as_before():
+    assert Mat((("3", "4/2"),)).is_integral()
+    assert not Mat((("1/2",),)).is_integral()
+    assert Mat((("6/3",),)).to_int().rows == ((2,),)
+    with pytest.raises(TypeError):
+        Mat(((LinForm(1, 0),),)).is_integral()
 
 
 def test_inv2_golden():
@@ -105,6 +255,47 @@ def test_snf2_goldens():
 def test_snf2_rejects_non_integer():
     with pytest.raises(ValueError):
         snf2(qmat("1/2", 0, 0, 1))
+
+
+_egcd = matrices.egcd
+
+
+def _off_by_one_egcd(a, b):
+    g, x, y = _egcd(a, b)
+    return g, x + 1, y
+
+
+@pytest.mark.parametrize("a", [imat(2, 1, 0, 1), imat(6, 4, 4, 8), imat(3, 5, 0, 0)])
+def test_snf2_certificate_catches_a_wrong_elimination_step(monkeypatch, a):
+    # a wrong Bezout pair makes a non-unimodular step; the certificate must say so
+    monkeypatch.setattr(matrices, "egcd", _off_by_one_egcd)
+    with pytest.raises(InternalInconsistency, match="unimodular"):
+        snf2(a)
+
+
+def test_snf2_reports_non_convergence(monkeypatch):
+    # on corner 3, entry 2 this makes the identity step, which never clears the entry
+    monkeypatch.setattr(matrices, "egcd", lambda a, b: (max(abs(a), abs(b)), 1, 0))
+    with pytest.raises(InternalInconsistency, match="converge"):
+        snf2(imat(3, 0, 2, 1))
+
+
+def test_snf2_certificate_survives_optimized_mode():
+    # python -O strips assert statements; the certificate must not be one
+    src = Path(matrices.__file__).resolve().parents[1]
+    code = (
+        "import splitjac.matrices as m\n"
+        "from splitjac.errors import InternalInconsistency\n"
+        "good = m.egcd\n"
+        "m.egcd = lambda a, b: (lambda g, x, y: (g, x + 1, y))(*good(a, b))\n"
+        "try:\n"
+        "    m.snf2(m.imat(2, 1, 0, 1))\n"
+        "except InternalInconsistency:\n"
+        "    print('caught')\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": str(src)}, timeout=60, check=True)
+    assert out.stdout == "caught\n"
 
 
 @given(integer_mats())

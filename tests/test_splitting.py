@@ -4,17 +4,18 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from conftest import splitting_data
 import splitjac.splitting as splitting
 from splitjac.errors import InternalInconsistency, NonPositiveLength, ValidationError
-from splitjac.matrices import imat, qmat
+from splitjac.matrices import col2, imat, qmat
 from splitjac.splitting import (
     SplittingData,
     build_diagram,
     build_jpp,
     check_dk,
+    kernel_numerators,
     qpp,
     qpp_raw,
 )
@@ -125,6 +126,77 @@ def test_build_diagram_properties(sd):
     targets = {Fraction(j, d) for j in range(d)}
     assert {u for u, _ in dg.kernel_normalized} == targets
     assert {v for _, v in dg.kernel_normalized} == targets
+    assert dg.kernel_normalized == oracle_kernel(dg.phi, d, sd.k)
+    assert dg.kernel_raw == tuple((u * sd.lp, v * sd.l) for u, v in dg.kernel_normalized)
+
+
+def oracle_kernel(phi, d, k):
+    """The kernel certificate on Fractions, as build_diagram made it before it ran on integers."""
+    kernel = []
+    for j in range(d):
+        u = Fraction(k * j, d) % 1
+        v = Fraction(j, d) % 1
+        img = phi @ col2(u, v)
+        if img[0, 0] % 1 != 0 or img[1, 0] % 1 != 0:
+            raise InternalInconsistency(f"kernel point ({u},{v}) not killed by phi")
+        kernel.append((u, v))
+    if len({u for u, _ in kernel}) != d or len({v for _, v in kernel}) != d:
+        raise InternalInconsistency("kernel is not a graph of order d")
+    return tuple(kernel)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InternalInconsistency as exc:
+        return str(exc)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """Some phi congruent to [[1, -k], [0, d]] mod d, some off by one entry; any k."""
+    d = draw(st.integers(min_value=2, max_value=24))
+    k = draw(st.integers(min_value=1, max_value=d - 1))
+    shifts = [d * draw(st.integers(min_value=-3, max_value=3)) for _ in range(4)]
+    entries = [1 + shifts[0], -k + shifts[1], shifts[2], d + shifts[3]]
+    if draw(st.booleans()):
+        entries[draw(st.integers(min_value=0, max_value=3))] += draw(
+            st.integers(min_value=1, max_value=d - 1))
+    return imat(*entries), d, k
+
+
+@given(_kernel_cases())
+def test_kernel_certificate_matches_the_fraction_oracle(case):
+    phi, d, k = case
+    got, want = _outcome(kernel_numerators, phi, d, k), _outcome(oracle_kernel, phi, d, k)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert tuple((Fraction(u, d), Fraction(v, d)) for u, v in got) == want
+
+
+@pytest.mark.parametrize("entries", [(1, -6, 0, 18), (1, -7, 1, 18), (1, -7, 0, 17),
+                                     (2, -7, 0, 18), (0, -7, 1, 18), (18, 7, 0, 1)])
+def test_kernel_certificate_rejects_each_wrong_entry_of_phi(entries):
+    # one wrong entry of phi = [[1, -7], [0, 18]] in either row, or the adjoint in its place
+    with pytest.raises(InternalInconsistency, match="not killed by phi"):
+        kernel_numerators(imat(*entries), 18, 7)
+
+
+def test_kernel_certificate_rejects_a_kernel_that_is_not_a_graph():
+    # phi kills every point (2j/4, j/4), but they hit only two points of the first circle
+    with pytest.raises(InternalInconsistency, match="not a graph of order d"):
+        kernel_numerators(imat(1, -2, 0, 4), 4, 2)
+
+
+def test_build_diagram_certifies_the_kernel_of_non_coprime_data(monkeypatch):
+    monkeypatch.setattr(splitting, "check_dk", lambda d, k: None)
+    with pytest.raises(InternalInconsistency, match="not a graph of order d"):
+        build_diagram(SplittingData(d=4, k=2, lp=1, l=1))
+
+
+def test_kernel_numerators_golden():
+    assert kernel_numerators(imat(1, -7, 0, 18), 18, 7)[:4] == ((0, 0), (7, 1), (14, 2), (3, 3))
 
 
 @given(splitting_data(max_d=10, max_num=12, max_den=6))
