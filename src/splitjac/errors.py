@@ -74,9 +74,5 @@ class ConeCapExceeded(SplitJacError):
     """Fan walk produced more cones than the cap allows."""
 
 
-class DegenerateSample(SplitJacError):
-    """Sample point on a wall of the fan; build_fan no longer raises it."""
-
-
 class InternalInconsistency(SplitJacError):
     """Two independent computations of the same quantity disagree (bug)."""

@@ -64,7 +64,9 @@ class LinForm:
     __rmul__ = __mul__
 
     def evaluate(self, lp, l) -> Fraction:
-        return self.a * Fraction(lp) + self.b * Fraction(l)
+        if isinstance(lp, float) or isinstance(l, float):
+            raise ValidationError(f"lp and l must be exact, got {lp!r} and {l!r}")
+        return self.a * lp + self.b * l
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0

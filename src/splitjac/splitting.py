@@ -27,9 +27,9 @@ from .tav import (
     adjoint,
     circle,
     direct_sum,
+    gram_matrix,
     induce_polarization,
     polarization_type,
-    pullback_polarization,
 )
 
 
@@ -97,30 +97,32 @@ class JppModel:
 
 
 def build_jpp(sd: SplittingData) -> JppModel:
-    """Run the quotient construction and certify it two ways."""
+    """Run the quotient construction and certify it two ways.
+
+    Its two independent routes to zeta: the descent of d * identity along the
+    quotient map (a certified polarization) and the closed form [[d, k], [0, 1]].
+    """
     d, k = sd.d, sd.k
     prod = direct_sum(circle(sd.lp), circle(sd.l))
     qflat = imat(1, -k, 0, d)
-    pairing_g = prod.pairing @ inv2(qflat.map(Fraction))
-    quotient = Tav(pairing_g)
+    quotient = Tav(prod.pairing @ inv2(qflat.map(Fraction)))
     qmor = TavMorphism(prod, quotient, Mat.identity(2), qflat)
 
     dd = imat(d, 0, 0, d)
     res = induce_polarization(qmor, dd)
-    zeta_closed = (dd @ inv2(qflat.map(Fraction))).to_int()
-    if res.zeta2 is None or res.zeta2 != zeta_closed:
+    zeta, zeta_closed = res.zeta2, imat(d, k, 0, 1)
+    if zeta is None or zeta != zeta_closed:
         raise InternalInconsistency(
             f"induced polarization {res.m.rows} != closed form {zeta_closed.rows}")
-    zeta = res.zeta2
     if polarization_type(zeta) != (1, d):
         raise InternalInconsistency(f"induced polarization type {polarization_type(zeta)}")
 
-    gram = quotient.with_polarization(zeta).gram
+    gram = gram_matrix(zeta, quotient.pairing)
     if gram != qpp_raw(sd):
         raise InternalInconsistency(f"Gram matrix {gram.rows} != period form")
     jpp = Tav(gram, Mat.identity(2))
-    phi = TavMorphism(prod, jpp, msharp=imat(d, k, 0, 1), mflat=qflat)
-    if pullback_polarization(phi, jpp.polarization) != dd:
+    phi = TavMorphism(prod, jpp, msharp=zeta, mflat=qflat)
+    if phi.msharp @ jpp.polarization @ phi.mflat != dd:
         raise InternalInconsistency("splitting isogeny does not pull back to d*identity")
     basis_b = (tuple(gram[i, 0] for i in range(2)), tuple(gram[i, 1] for i in range(2)))
     return JppModel(sd=sd, qflat=qflat, zeta=zeta, zetapp=jpp.polarization, gram=gram,

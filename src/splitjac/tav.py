@@ -275,7 +275,8 @@ def induce_polarization(f: TavMorphism, z1: Mat) -> InduceResult:
     if not m.is_integral():
         return InduceResult(m=m, zeta2=None)
     zeta2 = m.to_int()
-    if pullback_polarization(f, zeta2) != z1:
+    check_polarization(zeta2, f.target.pairing)
+    if f.msharp @ zeta2 @ f.mflat != z1:
         raise InternalInconsistency("induced polarization does not pull back to z1")
     return InduceResult(m=m, zeta2=zeta2)
 
@@ -291,8 +292,9 @@ def adjoint(f: TavMorphism, z1: Mat, z2: Mat) -> TavMorphism:
         raise NotPrincipal(f"source polarization type {polarization_type(z1)}")
     if not is_principal(z2):
         raise NotPrincipal(f"target polarization type {polarization_type(z2)}")
-    msharp_adj = z2 @ f.mflat @ inv2(z1.map(Fraction))
-    mflat_adj = inv2(z1.map(Fraction)) @ f.msharp @ z2
+    z1_inv = inv2(z1.map(Fraction))
+    msharp_adj = z2 @ f.mflat @ z1_inv
+    mflat_adj = z1_inv @ f.msharp @ z2
     if not (msharp_adj.is_integral() and mflat_adj.is_integral()):
         raise NonIntegralAdjoint(
             f"adjoint matrices not integral: {msharp_adj.rows}, {mflat_adj.rows}")

@@ -167,6 +167,19 @@ def test_mumford_missing_field(capsys, tmp_path):
     assert json.loads(err)["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("command", ["mumford", "adjoint"])
+def test_indefinite_z1_is_a_domain_error(capsys, tmp_path, command):
+    payload = dict(MORPHISM_INPUT, z1=[["1", "0"], ["0", "-3"]], z2=[["1", "0"], ["0", "1"]])
+    path = tmp_path / "indefinite.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, command, "--input", str(path))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "NotPositiveDefinite",
+        "message": "polarization Gram matrix not positive definite: "
+                   "((Fraction(1, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(-9, 1)))"}
+
+
 def test_adjoint_golden(capsys, tmp_path):
     payload = {
         "source": {"pairing": [["1", "0"], ["0", "3"]]},

@@ -12,8 +12,8 @@ import splitjac.locus as locus
 from conftest import positive_rationals, rationals
 from splitjac.errors import (
     ConeCapExceeded,
-    DegenerateSample,
     InternalInconsistency,
+    SplitJacError,
     ValidationError,
 )
 from splitjac.locus import (
@@ -41,6 +41,10 @@ from splitjac.splitting import SplittingData, qpp
 
 # --- oracles: a cone-by-cone sampling walk of the quadrant, and a
 # compare_images that scans the whole pool for every cone ---
+
+class DegenerateSample(SplitJacError):
+    """Sample point on a wall of the fan; the walk oracle retries with another."""
+
 
 def _walk_symbolic_reduce(d, k, sample):
     q = qpp_symbolic(d, k)
@@ -205,6 +209,16 @@ def test_linform_algebra():
     assert LinForm(0, 0).is_zero()
     with pytest.raises(ValueError):
         LinForm(0, 0).primitive()
+
+
+def test_linform_evaluate_takes_exact_input_only():
+    f = LinForm(Fraction(1, 3), -2)
+    assert f.evaluate(1, 2) == Fraction(-11, 3)
+    assert f.evaluate(Fraction(1, 10), Fraction(1, 7)) == Fraction(-53, 210)
+    assert type(f.evaluate(3, 1)) is Fraction
+    for lp, l in ((0.1, 1), (1, 0.5), (2.0, 1.0)):
+        with pytest.raises(ValidationError):
+            f.evaluate(lp, l)
 
 
 @given(rationals(), rationals(), positive_rationals())

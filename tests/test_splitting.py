@@ -1,6 +1,10 @@
 """Splitting data, the glued rank-2 variety, and the two-circle diagram."""
 
+import subprocess
+import sys
+from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -8,9 +12,11 @@ from hypothesis import given, strategies as st
 
 from conftest import splitting_data
 import splitjac.splitting as splitting
+import splitjac.tav as tav
 from splitjac.errors import InternalInconsistency, NonPositiveLength, ValidationError
-from splitjac.matrices import col2, imat, qmat
+from splitjac.matrices import Mat, col2, imat, inv2, qmat
 from splitjac.splitting import (
+    JppModel,
     SplittingData,
     build_diagram,
     build_jpp,
@@ -19,7 +25,17 @@ from splitjac.splitting import (
     qpp,
     qpp_raw,
 )
-from splitjac.tav import classify, polarization_type
+from splitjac.tav import (
+    InduceResult,
+    Tav,
+    TavMorphism,
+    circle,
+    classify,
+    direct_sum,
+    induce_polarization,
+    polarization_type,
+    pullback_polarization,
+)
 
 
 def test_splitting_data_validation():
@@ -87,6 +103,119 @@ def test_build_jpp_properties(sd):
     assert cls.injective == (sd.d == 1)
     qcls = classify(jm.quotient_map)
     assert qcls.isogeny and qcls.degree == sd.d
+
+
+def oracle_build_jpp(sd):
+    """build_jpp as it was before each polarization was certified once: it re-checks all of them."""
+    d, k = sd.d, sd.k
+    prod = direct_sum(circle(sd.lp), circle(sd.l))
+    qflat = imat(1, -k, 0, d)
+    pairing_g = prod.pairing @ inv2(qflat.map(Fraction))
+    quotient = Tav(pairing_g)
+    qmor = TavMorphism(prod, quotient, Mat.identity(2), qflat)
+
+    dd = imat(d, 0, 0, d)
+    res = induce_polarization(qmor, dd)
+    zeta_closed = (dd @ inv2(qflat.map(Fraction))).to_int()
+    if res.zeta2 is None or res.zeta2 != zeta_closed:
+        raise InternalInconsistency(
+            f"induced polarization {res.m.rows} != closed form {zeta_closed.rows}")
+    zeta = res.zeta2
+    if polarization_type(zeta) != (1, d):
+        raise InternalInconsistency(f"induced polarization type {polarization_type(zeta)}")
+
+    gram = quotient.with_polarization(zeta).gram
+    if gram != qpp_raw(sd):
+        raise InternalInconsistency(f"Gram matrix {gram.rows} != period form")
+    jpp = Tav(gram, Mat.identity(2))
+    phi = TavMorphism(prod, jpp, msharp=imat(d, k, 0, 1), mflat=qflat)
+    if pullback_polarization(phi, jpp.polarization) != dd:
+        raise InternalInconsistency("splitting isogeny does not pull back to d*identity")
+    basis_b = (tuple(gram[i, 0] for i in range(2)), tuple(gram[i, 1] for i in range(2)))
+    return JppModel(sd=sd, qflat=qflat, zeta=zeta, zetapp=jpp.polarization, gram=gram,
+                    basis_b=basis_b, product=prod, quotient=quotient, jpp=jpp,
+                    quotient_map=qmor, splitting_isogeny=phi)
+
+
+@given(splitting_data(max_d=64, max_num=12, max_den=6))
+def test_build_jpp_matches_the_oracle_field_by_field(sd):
+    got, want = build_jpp(sd), oracle_build_jpp(sd)
+    for field in fields(JppModel):
+        assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+
+def test_build_diagram_certifies_each_polarization_once(monkeypatch):
+    calls = {"check_polarization": 0, "inv2": 0, "matmul": 0}
+
+    def count(owner, attr, key):
+        fn = getattr(owner, attr)
+
+        def counted(*args):
+            calls[key] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, attr, counted)
+
+    count(tav, "check_polarization", "check_polarization")
+    count(tav, "inv2", "inv2")
+    count(splitting, "inv2", "inv2")
+    count(Mat, "__matmul__", "matmul")
+    build_diagram(SplittingData(d=18, k=7, lp=3, l=1))
+    # two circles and their product, the descent's z1 and zeta2, jpp, and adjoint's z1 and z2
+    assert calls["check_polarization"] == 8
+    # the quotient pairing, the descent's two inverses, and adjoint's inverse of z1
+    assert calls["inv2"] == 4
+    assert calls["matmul"] <= 34
+
+
+@pytest.mark.parametrize("zeta2", [None, imat(2, 0, 0, 1), imat(2, 1, 1, 1), imat(1, 0, 0, 2)])
+def test_build_jpp_rejects_a_wrong_descent(monkeypatch, zeta2):
+    wrong = InduceResult(m=qmat(Fraction(1, 2), 0, 0, 1) if zeta2 is None else zeta2, zeta2=zeta2)
+    monkeypatch.setattr(splitting, "induce_polarization", lambda f, z1: wrong)
+    with pytest.raises(InternalInconsistency, match="closed form"):
+        build_jpp(SplittingData(d=2, k=1, lp=1, l=3))
+
+
+def test_build_jpp_rejects_a_wrong_type(monkeypatch):
+    monkeypatch.setattr(splitting, "polarization_type", lambda z: (1, 1))
+    with pytest.raises(InternalInconsistency, match="type"):
+        build_jpp(SplittingData(d=2, k=1, lp=1, l=3))
+
+
+@pytest.mark.parametrize("form", [qmat(2, 1, 1, 3), qmat(2, -1, -1, 2), qmat(1, 0, 0, 3)])
+def test_build_jpp_rejects_a_wrong_period_form(monkeypatch, form):
+    monkeypatch.setattr(splitting, "qpp_raw", lambda sd: form)
+    with pytest.raises(InternalInconsistency, match="period form"):
+        build_jpp(SplittingData(d=2, k=1, lp=1, l=3))
+
+
+def test_build_jpp_rejects_a_wrong_pullback(monkeypatch):
+    # phi is the one morphism built with keywords; give it the negated quotient map
+    real = splitting.TavMorphism
+
+    def negated_phi(*args, msharp=None, mflat=None):
+        if msharp is None:
+            return real(*args)
+        return SimpleNamespace(msharp=msharp, mflat=mflat.scale(-1))
+    monkeypatch.setattr(splitting, "TavMorphism", negated_phi)
+    with pytest.raises(InternalInconsistency, match="pull back"):
+        build_jpp(SplittingData(d=2, k=1, lp=1, l=3))
+
+
+def test_build_jpp_certificates_survive_optimized_mode():
+    # python -O strips assert statements; no certificate in the chain may be one
+    src = Path(splitting.__file__).resolve().parents[1]
+    code = (
+        "import splitjac.splitting as s\n"
+        "from splitjac.errors import InternalInconsistency\n"
+        "s.qpp_raw = lambda sd: s.imat(1, 0, 0, 1)\n"
+        "try:\n"
+        "    s.build_diagram(s.SplittingData(d=18, k=7, lp=3, l=1))\n"
+        "except InternalInconsistency:\n"
+        "    print('caught')\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": str(src)}, timeout=60, check=True)
+    assert out.stdout == "caught\n"
 
 
 def test_build_diagram_golden():

@@ -190,6 +190,28 @@ def test_adjoint_requires_principal():
         adjoint(f, imat(2, 0, 0, 2), EYE)
 
 
+def _bad_polarizations(pairing):
+    """A non-integral, an indefinite and a wrongly shaped candidate for the pairing."""
+    return [(qmat(Fraction(1, 2), 0, 0, 1), ValidationError),
+            (imat(1, 0, 0, -1) @ pairing, NotPositiveDefinite),  # Gram congruent to diag(1, -1)
+            (Mat(((1,),)), ValidationError)]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["non-integral", "indefinite", "wrong-shape"])
+def test_public_entry_points_reject_bad_polarizations(case):
+    f = connecting_13()
+    src, err = _bad_polarizations(f.source.pairing)[case]
+    tgt, tgt_err = _bad_polarizations(f.target.pairing)[case]
+    with pytest.raises(tgt_err):
+        pullback_polarization(f, tgt)
+    with pytest.raises(err):
+        induce_polarization(quotient_map_13(), src)
+    with pytest.raises(err):
+        adjoint(f, src, EYE)
+    with pytest.raises(tgt_err):
+        adjoint(f, EYE, tgt)
+
+
 @given(pd_forms(), st.integers(min_value=1, max_value=6))
 def test_multiplication_pullback_scales_by_square(p, n):
     t = Tav(p, EYE)
