@@ -20,21 +20,12 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass
 from math import gcd
 
 from splitjac import build_fan, compare_images, image_cones
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    min_d: int = 2
-    max_d: int = 8
-    show_images: bool = False
-    json_path: str = ""
-
-
-def parse_args(argv) -> ExperimentConfig:
+def parse_args(argv) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--min-d", type=int, default=2)
     parser.add_argument("--max-d", type=int, default=8)
@@ -45,13 +36,12 @@ def parse_args(argv) -> ExperimentConfig:
     ns = parser.parse_args(argv)
     if not 2 <= ns.min_d <= ns.max_d:
         parser.error("need 2 <= --min-d <= --max-d")
-    return ExperimentConfig(min_d=ns.min_d, max_d=ns.max_d,
-                            show_images=ns.show_images, json_path=ns.json_path)
+    return ns
 
 
-def run(config: ExperimentConfig) -> dict:
+def run(args: argparse.Namespace) -> dict:
     report = {}
-    for d in range(config.min_d, config.max_d + 1):
+    for d in range(args.min_d, args.max_d + 1):
         ks = [k for k in range(1, d) if gcd(k, d) == 1]
         fans = {k: build_fan(d, k) for k in ks}
         pairs = []
@@ -95,13 +85,13 @@ def print_report(report: dict, show_images: bool) -> None:
 
 
 def main(argv=None) -> int:
-    config = parse_args(sys.argv[1:] if argv is None else argv)
-    report = run(config)
-    print_report(report, config.show_images)
-    if config.json_path:
-        with open(config.json_path, "w", encoding="utf-8") as handle:
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    report = run(args)
+    print_report(report, args.show_images)
+    if args.json_path:
+        with open(args.json_path, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2, default=list)
-        print(f"wrote {config.json_path}")
+        print(f"wrote {args.json_path}")
     return 0
 
 

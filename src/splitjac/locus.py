@@ -23,7 +23,7 @@ from itertools import permutations
 from math import gcd, lcm
 
 from .errors import ConeCapExceeded, InternalInconsistency, ValidationError
-from .matrices import Mat
+from .matrices import Mat, rat
 from .selling import DEFAULT_CAP, reduce_triple
 from .splitting import check_dk
 
@@ -36,8 +36,8 @@ class LinForm:
     b: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        object.__setattr__(self, "a", rat(self.a))
+        object.__setattr__(self, "b", rat(self.b))
 
     def __add__(self, other):
         if isinstance(other, LinForm):

@@ -2,7 +2,7 @@
 
 Everything in this package is 1x1, 1x2, 2x1 or 2x2 and exact: entries are ints,
 fractions.Fraction, or any object supporting ring arithmetic (the fan module
-feeds in symbolic linear forms).  No floats anywhere.
+feeds in symbolic linear forms).  No floats: `rat` and `Mat(rows)` reject them.
 """
 
 from __future__ import annotations
@@ -11,19 +11,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import InternalInconsistency, SingularMatrix, UnsupportedRank
-
-Rat = Fraction
+from .errors import InternalInconsistency, SingularMatrix, UnsupportedRank, ValidationError
 
 
 def rat(x) -> Fraction:
-    """Coerce an int, string or Fraction to Fraction."""
+    """Coerce an int, a 'p/q' string or a Fraction to Fraction; a float raises ValidationError."""
+    if isinstance(x, float):
+        raise ValidationError(f"expected an exact number, got the float {x!r}")
     return Fraction(x)
 
 
 def rat_str(x) -> str:
     """Serialize a rational exactly: '3', '-5/9'."""
-    f = Fraction(x)
+    f = rat(x)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
@@ -41,9 +41,9 @@ def parse_rat(s: str) -> Fraction:
 class Mat:
     """Immutable matrix as a tuple of row tuples.
 
-    The public constructor `Mat(rows)` validates its rows.  Results of `@`, `.T`,
-    `map`, `imat` and `qmat` are built by `_mat`, which skips that check because
-    their shape is known to be good.
+    `Mat(rows)` checks its rows and raises ValidationError on a float entry (it
+    does not coerce: entries may be symbolic).  `@`, `.T`, `map`, `imat` and
+    `qmat` build results by `_mat`, skipping that check on a known-good shape.
     """
 
     rows: tuple
@@ -54,6 +54,8 @@ class Mat:
             raise ValueError("empty matrix")
         if any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
+        if any(isinstance(x, float) for r in rows for x in r):
+            raise ValidationError(f"matrix entries must be exact, got {rows!r}")
         object.__setattr__(self, "rows", rows)
 
     @classmethod
@@ -165,7 +167,7 @@ def _denominator(x) -> int:
         return 1
     if isinstance(x, Fraction):
         return x.denominator
-    return Fraction(x).denominator
+    return rat(x).denominator
 
 
 def _to_int(x) -> int:
@@ -174,12 +176,17 @@ def _to_int(x) -> int:
         return int(x)
     if isinstance(x, Fraction):
         return x.numerator
-    return int(Fraction(x))
+    return int(rat(x))
 
 
 def imat(a, b, c, d) -> Mat:
-    """2x2 integer matrix [[a,b],[c,d]]."""
-    return _mat(((int(a), int(b)), (int(c), int(d))))
+    """2x2 integer matrix [[a,b],[c,d]]; a float or non-integral entry raises ValidationError."""
+    m = _mat(((a, b), (c, d)))
+    if type(a) is type(b) is type(c) is type(d) is int:
+        return m
+    if not m.is_integral():
+        raise ValidationError(f"imat requires integer entries, got {m.rows}")
+    return m.map(_to_int)
 
 
 # Sign flip of the second basis vector: turns q12 into -q12.
@@ -188,7 +195,7 @@ SFLIP = imat(1, 0, 0, -1)
 
 def qmat(a, b, c, d) -> Mat:
     """2x2 rational matrix [[a,b],[c,d]]."""
-    return _mat(((Fraction(a), Fraction(b)), (Fraction(c), Fraction(d))))
+    return _mat(((rat(a), rat(b)), (rat(c), rat(d))))
 
 
 def col2(a, b) -> Mat:
@@ -202,16 +209,16 @@ def row2(a, b) -> Mat:
 def inv2(a: Mat) -> Mat:
     """Exact inverse of a 1x1 or 2x2 rational matrix."""
     if a.shape == (1, 1):
-        x = Fraction(a[0, 0])
+        x = rat(a[0, 0])
         if x == 0:
             raise SingularMatrix("1x1 matrix is zero")
         return Mat(((1 / x,),))
     if a.shape != (2, 2):
         raise UnsupportedRank(f"inverse undefined for shape {a.shape}")
-    d = Fraction(a.det())
+    d = rat(a.det())
     if d == 0:
         raise SingularMatrix(f"determinant zero: {a.rows}")
-    return qmat(a[1, 1] / d, -Fraction(a[0, 1]) / d, -Fraction(a[1, 0]) / d, a[0, 0] / d)
+    return qmat(a[1, 1] / d, -a[0, 1] / d, -a[1, 0] / d, a[0, 0] / d)
 
 
 def congruence_act(x: Mat, q: Mat) -> Mat:
@@ -262,9 +269,10 @@ def snf2(a: Mat) -> Snf2:
     """Smith normal form of an integer 2x2 matrix."""
     if a.shape != (2, 2):
         raise UnsupportedRank(f"snf2 requires 2x2, got {a.shape}")
-    m = [[int(Fraction(a[i, j])) for j in range(2)] for i in range(2)]
     if not a.is_integral():
         raise ValueError("snf2 requires integer entries")
+    a_int = a.map(_to_int)
+    m = [list(r) for r in a_int.rows]
     u = [[1, 0], [0, 1]]
     v = [[1, 0], [0, 1]]
 
@@ -317,7 +325,6 @@ def snf2(a: Mat) -> Snf2:
         lmul([[1, 0], [0, -1]])
 
     um, dm, vm = Mat.of(u), Mat.of(m), Mat.of(v)
-    a_int = a.to_int()
     g1, g2 = dm[0, 0], dm[1, 1]
     g_all = gcd(gcd(a_int[0, 0], a_int[0, 1]), gcd(a_int[1, 0], a_int[1, 1]))
     checks = (

@@ -26,7 +26,7 @@ from .errors import (
     NonPositiveLength,
     WrongK,
 )
-from .matrices import SFLIP, Mat, imat, inv2
+from .matrices import SFLIP, Mat, imat, inv2, rat
 from .selling import (
     DEFAULT_CAP,
     DumbbellFamily,
@@ -77,7 +77,7 @@ def period_matrix(curve, bridge=None) -> PeriodMatrix:
     For a dumbbell the result is independent of the bridge length; a bridge
     value, if given, is only validated (it must be a nonnegative rational).
     """
-    if bridge is not None and Fraction(bridge) < 0:
+    if bridge is not None and rat(bridge) < 0:
         raise NonPositiveLength(f"bridge length must be >= 0, got {bridge}")
     if isinstance(curve, ThetaCurve):
         q = Mat(((curve.le + curve.le2, curve.le2),
@@ -207,7 +207,7 @@ def build_covers(trace: PipelineTrace) -> CoverPair:
         w = Mat(((1, 0, 0), (0, 1, 0)))
     z = SFLIP @ trace.x @ SFLIP
     phi = imat(1, -sd.k, 0, sd.d)
-    slope_mat = phi.T @ inv2(z.map(Fraction)).T @ w.map(Fraction)
+    slope_mat = phi.T @ inv2(z).T @ w
     if not slope_mat.is_integral():
         raise NonIntegralSlope(f"slope matrix not integral: {slope_mat.rows}")
     slope_mat = slope_mat.to_int()

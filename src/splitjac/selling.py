@@ -29,7 +29,7 @@ from .errors import (
     PositiveQ12,
     ValidationError,
 )
-from .matrices import SFLIP, Mat, congruence_act, imat, is_positive_definite
+from .matrices import SFLIP, Mat, congruence_act, imat, is_positive_definite, rat
 
 T1 = imat(1, 0, 1, 1)
 T2 = imat(1, 1, 0, 1)
@@ -214,7 +214,7 @@ class ThetaCurve:
 
     def __post_init__(self):
         for name in ("le", "le1", "le2"):
-            val = Fraction(getattr(self, name))
+            val = rat(getattr(self, name))
             if val <= 0:
                 raise NonPositiveLength(f"{name} must be positive, got {val}")
             object.__setattr__(self, name, val)
@@ -233,7 +233,7 @@ class DumbbellFamily:
 
     def __post_init__(self):
         for name in ("lc1", "lc2"):
-            val = Fraction(getattr(self, name))
+            val = rat(getattr(self, name))
             if val <= 0:
                 raise NonPositiveLength(f"{name} must be positive, got {val}")
             object.__setattr__(self, name, val)

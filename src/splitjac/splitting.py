@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InternalInconsistency, NonPositiveLength, ValidationError
-from .matrices import SFLIP, Mat, col2, congruence_act, imat, inv2, row2
+from .matrices import SFLIP, Mat, col2, congruence_act, imat, inv2, rat, row2
 from .tav import (
     Tav,
     TavMorphism,
@@ -57,9 +57,7 @@ class SplittingData:
     def __post_init__(self):
         check_dk(self.d, self.k)
         for name in ("lp", "l"):
-            if isinstance(getattr(self, name), float):
-                raise ValidationError(f"{name} must be exact, got the float {getattr(self, name)!r}")
-            val = Fraction(getattr(self, name))
+            val = rat(getattr(self, name))
             if val <= 0:
                 raise NonPositiveLength(f"{name} must be a positive rational, got {val}")
             object.__setattr__(self, name, val)
@@ -105,7 +103,7 @@ def build_jpp(sd: SplittingData) -> JppModel:
     d, k = sd.d, sd.k
     prod = direct_sum(circle(sd.lp), circle(sd.l))
     qflat = imat(1, -k, 0, d)
-    quotient = Tav(prod.pairing @ inv2(qflat.map(Fraction)))
+    quotient = Tav(prod.pairing @ inv2(qflat))
     qmor = TavMorphism(prod, quotient, Mat.identity(2), qflat)
 
     dd = imat(d, 0, 0, d)

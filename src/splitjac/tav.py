@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedRank,
     ValidationError,
 )
-from .matrices import Mat, congruence_act, inv2, is_positive_definite, snf2
+from .matrices import Mat, congruence_act, inv2, is_positive_definite, rat, snf2
 
 
 def gram_matrix(polarization: Mat, pairing: Mat) -> Mat:
@@ -74,11 +74,7 @@ class Tav:
     polarization: Mat | None = None
 
     def __post_init__(self):
-        for name in ("pairing", "polarization"):
-            m = getattr(self, name)
-            if m is not None and any(isinstance(x, float) for row in m.rows for x in row):
-                raise ValidationError(f"{name} must be exact, got the float entries {m.rows!r}")
-        p = self.pairing.map(Fraction)
+        p = self.pairing.map(rat)
         if p.nrows != p.ncols:
             raise ValidationError("pairing matrix must be square")
         if p.nrows not in (1, 2):
@@ -113,9 +109,7 @@ class Tav:
 
 def circle(length) -> Tav:
     """Tropical elliptic curve: a circle of the given circumference (rank 1)."""
-    if isinstance(length, float):
-        raise ValidationError(f"length must be exact, got the float {length!r}")
-    val = Fraction(length)
+    val = rat(length)
     if val <= 0:
         raise NonPositiveLength(f"length must be positive, got {val}")
     return Tav(Mat(((val,),)), Mat(((1,),)))
@@ -267,11 +261,11 @@ def induce_polarization(f: TavMorphism, z1: Mat) -> InduceResult:
         raise NotIsogeny("mflat not invertible")
     if f.msharp.det() == 0:
         raise ImageConditionViolated("msharp not invertible: image cannot contain im(z1)")
-    a = inv2(f.msharp.map(Fraction)) @ z1
+    a = inv2(f.msharp) @ z1
     if not a.is_integral():
         raise ImageConditionViolated(
             f"im(z1) not contained in im(msharp): msharp^-1 @ z1 = {a.rows}")
-    m = a @ inv2(f.mflat.map(Fraction))
+    m = a @ inv2(f.mflat)
     if not m.is_integral():
         return InduceResult(m=m, zeta2=None)
     zeta2 = m.to_int()
@@ -292,7 +286,7 @@ def adjoint(f: TavMorphism, z1: Mat, z2: Mat) -> TavMorphism:
         raise NotPrincipal(f"source polarization type {polarization_type(z1)}")
     if not is_principal(z2):
         raise NotPrincipal(f"target polarization type {polarization_type(z2)}")
-    z1_inv = inv2(z1.map(Fraction))
+    z1_inv = inv2(z1)
     msharp_adj = z2 @ f.mflat @ z1_inv
     mflat_adj = z1_inv @ f.msharp @ z2
     if not (msharp_adj.is_integral() and mflat_adj.is_integral()):
