@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InternalInconsistency, SingularMatrix, UnsupportedRank, ValidationError
 
@@ -219,6 +219,34 @@ def inv2(a: Mat) -> Mat:
     if d == 0:
         raise SingularMatrix(f"determinant zero: {a.rows}")
     return qmat(a[1, 1] / d, -a[0, 1] / d, -a[1, 0] / d, a[0, 0] / d)
+
+
+def adjugate(a: Mat) -> Mat:
+    """Adjugate of a 1x1 or 2x2 matrix: a @ adjugate(a) == det(a) * identity."""
+    if a.shape == (1, 1):
+        return _mat(((1,),))
+    if a.shape != (2, 2):
+        raise UnsupportedRank(f"adjugate undefined for shape {a.shape}")
+    (p, q), (r, s) = a.rows
+    return _mat(((s, -q), (-r, p)))
+
+
+def scaled(a: Mat) -> tuple:
+    """(n, den): den is the lcm of the entries' denominators and n = den * a, an int Mat.
+
+    A float entry raises ValidationError.
+    """
+    ratios = tuple(tuple(_ratio(x) for x in r) for r in a.rows)
+    den = lcm(*(q for r in ratios for _, q in r))
+    return _mat(tuple(tuple(p * (den // q) for p, q in r) for r in ratios)), den
+
+
+def _ratio(x) -> tuple:
+    if isinstance(x, int):
+        return x, 1
+    if not isinstance(x, Fraction):
+        x = rat(x)
+    return x.numerator, x.denominator
 
 
 def congruence_act(x: Mat, q: Mat) -> Mat:

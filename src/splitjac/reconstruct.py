@@ -56,10 +56,10 @@ def torelli_preimage(sd: SplittingData, cap: int = DEFAULT_CAP) -> PipelineTrace
     q0 = qpp(sd)
     qred, word = selling_reduce(q0, cap=cap)
     qtilde, stab = fd_representative(qred)
+    # x^T q0 x == qtilde: selling_reduce certifies the moves (and builds their
+    # product once), and fd_representative returns qtilde = stab^T qred stab.
+    x = word.moves_matrix @ stab
     word = replace(word, stab=stab)
-    # x^T q0 x == qtilde: selling_reduce certifies the moves, and
-    # fd_representative returns qtilde = stab^T qred stab.
-    x = word.matrix()
     curve = classify_curve(qtilde)
     return PipelineTrace(sd=sd, qpp=q0, word=word, qred=qred, qtilde=qtilde, x=x,
                          curve=curve)

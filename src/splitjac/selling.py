@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .errors import (
@@ -92,7 +92,8 @@ class ReductionWord:
 
     runs lists (move, n) pairs, meaning move^n, in application order; moves
     expands them.  matrix() is the accumulated X with X^T Q X equal to the
-    final form, using T1^n = [[1,0],[n,1]] and T2^n = [[1,n],[0,1]].
+    final form, using T1^n = [[1,0],[n,1]] and T2^n = [[1,n],[0,1]];
+    moves_matrix is X without the stabilizer element, built once per word.
     counts() is the legacy view: the run lengths in reverse application order.
     """
 
@@ -104,11 +105,15 @@ class ReductionWord:
     def moves(self) -> tuple:
         return tuple(move for move, n in self.runs for _ in range(n))
 
-    def matrix(self) -> Mat:
+    @cached_property
+    def moves_matrix(self) -> Mat:
         x = SFLIP if self.preflip else Mat.identity(2)
         for move, n in self.runs:
             x = x @ (imat(1, 0, n, 1) if move == "T1" else imat(1, n, 0, 1))
-        return x @ self.stab
+        return x
+
+    def matrix(self) -> Mat:
+        return self.moves_matrix @ self.stab
 
     def counts(self) -> tuple:
         return tuple(n for _, n in reversed(self.runs))
@@ -153,7 +158,7 @@ def selling_reduce(q: Mat, cap: int = DEFAULT_CAP) -> tuple:
     (a, b, c), runs = reduce_triple(q[0, 0], q[0, 1], q[1, 1], cap=cap)
     cur = Mat(((a, b), (b, c)))
     word = ReductionWord(runs=tuple((move, n) for move, n, _ in runs))
-    if congruence_act(word.matrix(), q) != cur:
+    if congruence_act(word.moves_matrix, q) != cur:
         raise InternalInconsistency("reduction word does not reproduce the form")
     return cur, word
 
@@ -163,12 +168,14 @@ _SIGMA_RAYS = (imat(1, 0, 0, 0), imat(0, 0, 0, 1), imat(1, -1, -1, 1))
 
 
 @lru_cache(maxsize=1)
-def stab_sigma() -> tuple:
-    """The six effective stabilizer elements of sigma (deduplicated by sign).
+def _stabilizer() -> tuple:
+    """(X, perm) for the six effective stabilizer elements of sigma, in stab_sigma() order.
 
     An integer matrix X with |det X| = 1 stabilizes sigma exactly when the
     congruence action permutes the three extreme rays; searching all entries
     in {-1, 0, 1} is exhaustive because the rays are v v^T with primitive v.
+    A form in sigma is sum(l_i * ray_i), so X maps its coordinates
+    (l1, l2, l3) to (l[perm[0]], l[perm[1]], l[perm[2]]).
     """
     found = []
     for entries in product((-1, 0, 1), repeat=4):
@@ -182,7 +189,17 @@ def stab_sigma() -> tuple:
     classes = {max(x.rows, (-x).rows) for x in found}
     if len(classes) != 6:
         raise InternalInconsistency(f"expected 6 effective classes, got {len(classes)}")
-    return tuple(Mat.of(rows) for rows in sorted(classes))
+    out = []
+    for rows in sorted(classes):
+        x = Mat.of(rows)
+        image = [_SIGMA_RAYS.index(congruence_act(x, e)) for e in _SIGMA_RAYS]
+        out.append((x, tuple(image.index(j) for j in range(3))))
+    return tuple(out)
+
+
+def stab_sigma() -> tuple:
+    """The six effective stabilizer elements of sigma (deduplicated by sign)."""
+    return tuple(x for x, _ in _stabilizer())
 
 
 def fd_representative(q: Mat) -> tuple:
@@ -193,13 +210,17 @@ def fd_representative(q: Mat) -> tuple:
     stabilizer element (in the fixed search order) that sorts the coordinates
     is used, and it is unique whenever the three coordinates are distinct.
     """
-    l1, l2, l3 = sigma_coords(q)  # validates the form and its membership
+    coords = sigma_coords(q)  # validates the form and its membership
+    l1, l2, l3 = coords
     if l3 <= l1 <= l2:
         return q, Mat.identity(2)
-    for x in stab_sigma():
-        q2 = congruence_act(x, q)
-        l1, l2, l3 = _coords(q2)
+    for x, perm in _stabilizer():
+        l1, l2, l3 = (coords[i] for i in perm)
         if l3 <= l1 <= l2:
+            q2 = congruence_act(x, q)
+            l1, l2, l3 = _coords(q2)
+            if not l3 <= l1 <= l2:
+                raise InternalInconsistency(f"stabilizer element {x.rows} does not sort {coords}")
             return q2, x
     raise InternalInconsistency("no stabilizer element sorts the sigma coordinates")
 

@@ -180,9 +180,13 @@ def build_diagram(sd: SplittingData) -> SplitDiagram:
     g1 = row2(phitilde[0, 0], phitilde[0, 1])
     g2 = row2(phitilde[1, 0], phitilde[1, 1])
 
-    kernel_norm = tuple((Fraction(u, d), Fraction(v, d))
-                        for u, v in kernel_numerators(phi, d, sd.k))
-    kernel_raw = tuple((u * sd.lp, v * sd.l) for u, v in kernel_norm)
+    def by_residue(length: Fraction) -> tuple:  # u and v each run over all residues mod d
+        return tuple(Fraction(j * length.numerator, d * length.denominator) for j in range(d))
+
+    points = kernel_numerators(phi, d, sd.k)
+    unit, lp, l = by_residue(Fraction(1)), by_residue(sd.lp), by_residue(sd.l)
+    kernel_norm = tuple((unit[u], unit[v]) for u, v in points)
+    kernel_raw = tuple((lp[u], l[v]) for u, v in points)
     return SplitDiagram(sd=sd, phi=phi, phitilde=phitilde, f1=f1, f2=f2, g1=g1, g2=g2,
                         kernel_normalized=kernel_norm, kernel_raw=kernel_raw,
                         zeta=jm.zeta, gram=jm.gram)

@@ -13,12 +13,20 @@ mflat (the covariant one), tied together by the compatibility condition
 msharp^T @ pairing_src == pairing_tgt @ mflat.  The induced map on points in
 raw coordinates (duals of the first lattices) is msharp^T; in the bases of the
 second lattices it is mflat.
+
+The polarization, compatibility, descent and adjoint checks run on integers.
+A pairing p enters them as (n, D) = scaled(p): D is the lcm of its entries'
+denominators and n = D * p.  Symmetry and definiteness of z^T @ n are those
+of the Gram matrix z^T @ p, as D > 0; compatibility is tested as
+msharp^T @ n_src * D_tgt == n_tgt @ mflat * D_src; a matrix m is inverted as
+adjugate(m) / det(m), with the division tested for exactness.  The rational
+matrices appear only in error messages and in a failed descent's
+InduceResult.m.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import (
@@ -34,7 +42,7 @@ from .errors import (
     UnsupportedRank,
     ValidationError,
 )
-from .matrices import Mat, congruence_act, inv2, is_positive_definite, rat, snf2
+from .matrices import Mat, adjugate, inv2, is_positive_definite, rat, scaled
 
 
 def gram_matrix(polarization: Mat, pairing: Mat) -> Mat:
@@ -48,18 +56,29 @@ def check_polarization(z: Mat, pairing: Mat) -> None:
         raise ValidationError(f"polarization shape {z.shape} != pairing shape {pairing.shape}")
     if not z.is_integral():
         raise ValidationError("polarization must be an integer matrix")
-    g = gram_matrix(z, pairing)
+    g = z.to_int().T @ scaled(pairing)[0]
     if not g.is_symmetric():
-        raise ValidationError(f"polarization Gram matrix not symmetric: {g.rows}")
+        raise ValidationError(
+            f"polarization Gram matrix not symmetric: {gram_matrix(z, pairing).rows}")
     if not is_positive_definite(g):
-        raise NotPositiveDefinite(f"polarization Gram matrix not positive definite: {g.rows}")
+        raise NotPositiveDefinite(
+            f"polarization Gram matrix not positive definite: {gram_matrix(z, pairing).rows}")
 
 
 def polarization_type(z: Mat) -> tuple:
-    """Smith invariant factors of an integer polarization matrix."""
+    """Smith invariant factors of an integer 1x1 or 2x2 matrix.
+
+    For 2x2 they are (g, |det z| / g), g the gcd of the entries ((0, 0) for zero).
+    """
+    if z.shape not in ((1, 1), (2, 2)):
+        raise UnsupportedRank(f"polarization type undefined for shape {z.shape}")
+    if not z.is_integral():
+        raise ValidationError(f"polarization type requires an integer matrix, got {z.rows}")
+    z = z.to_int()
     if z.shape == (1, 1):
-        return (abs(int(Fraction(z[0, 0]))),)
-    return snf2(z).invariant_factors
+        return (abs(z[0, 0]),)
+    g = gcd(*z.rows[0], *z.rows[1])
+    return (g, abs(z.det()) // g) if g else (0, 0)
 
 
 def is_principal(z: Mat) -> bool:
@@ -174,9 +193,11 @@ class TavMorphism:
             raise ValidationError("morphism matrices must be integral")
         object.__setattr__(self, "msharp", self.msharp.to_int())
         object.__setattr__(self, "mflat", self.mflat.to_int())
-        lhs = self.msharp.T @ self.source.pairing
-        rhs = self.target.pairing @ self.mflat
-        if lhs != rhs:
+        n_src, d_src = scaled(self.source.pairing)
+        n_tgt, d_tgt = scaled(self.target.pairing)
+        if (self.msharp.T @ n_src).scale(d_tgt) != (n_tgt @ self.mflat).scale(d_src):
+            lhs = self.msharp.T @ self.source.pairing
+            rhs = self.target.pairing @ self.mflat
             raise IncompatibleMorphism(
                 f"msharp^T @ pairing_src = {lhs.rows} != pairing_tgt @ mflat = {rhs.rows}")
 
@@ -247,32 +268,41 @@ class InduceResult:
         return self.zeta2 is not None
 
 
+def _exact_quotient(m: Mat, q: int) -> Mat | None:
+    """m / q for an int matrix m when q divides every entry, else None."""
+    if any(x % q for r in m.rows for x in r):
+        return None
+    return m.map(lambda x: x // q)
+
+
 def induce_polarization(f: TavMorphism, z1: Mat) -> InduceResult:
     """Descend a source polarization z1 along f, if possible.
 
     Computes a = msharp^{-1} @ z1 (integrality of a is exactly the condition
     that the image of z1 lies in the image of msharp), then m = a @ mflat^{-1}.
-    The descent exists iff m is integral; then pullback(f, m) == z1.
+    The descent exists iff m is integral; then pullback(f, m) == z1.  Both
+    inverses are adjugate / det, and each division is tested on integers.
     """
     check_polarization(z1, f.source.pairing)
     if f.source.rank != f.target.rank:
         raise NotIsogeny("ranks differ")
-    if f.mflat.det() == 0:
+    det_flat, det_sharp = f.mflat.det(), f.msharp.det()
+    if det_flat == 0:
         raise NotIsogeny("mflat not invertible")
-    if f.msharp.det() == 0:
+    if det_sharp == 0:
         raise ImageConditionViolated("msharp not invertible: image cannot contain im(z1)")
-    a = inv2(f.msharp) @ z1
-    if not a.is_integral():
+    z1 = z1.to_int()
+    a = _exact_quotient(adjugate(f.msharp) @ z1, det_sharp)
+    if a is None:
         raise ImageConditionViolated(
-            f"im(z1) not contained in im(msharp): msharp^-1 @ z1 = {a.rows}")
-    m = a @ inv2(f.mflat)
-    if not m.is_integral():
-        return InduceResult(m=m, zeta2=None)
-    zeta2 = m.to_int()
+            f"im(z1) not contained in im(msharp): msharp^-1 @ z1 = {(inv2(f.msharp) @ z1).rows}")
+    zeta2 = _exact_quotient(a @ adjugate(f.mflat), det_flat)
+    if zeta2 is None:
+        return InduceResult(m=a @ inv2(f.mflat), zeta2=None)
     check_polarization(zeta2, f.target.pairing)
     if f.msharp @ zeta2 @ f.mflat != z1:
         raise InternalInconsistency("induced polarization does not pull back to z1")
-    return InduceResult(m=m, zeta2=zeta2)
+    return InduceResult(m=zeta2, zeta2=zeta2)
 
 
 def adjoint(f: TavMorphism, z1: Mat, z2: Mat) -> TavMorphism:
@@ -286,10 +316,11 @@ def adjoint(f: TavMorphism, z1: Mat, z2: Mat) -> TavMorphism:
         raise NotPrincipal(f"source polarization type {polarization_type(z1)}")
     if not is_principal(z2):
         raise NotPrincipal(f"target polarization type {polarization_type(z2)}")
-    z1_inv = inv2(z1)
+    z1, z2 = z1.to_int(), z2.to_int()
+    z1_inv = adjugate(z1).scale(z1.det())  # det(z1) = +-1, as z1 is principal
     msharp_adj = z2 @ f.mflat @ z1_inv
     mflat_adj = z1_inv @ f.msharp @ z2
     if not (msharp_adj.is_integral() and mflat_adj.is_integral()):
         raise NonIntegralAdjoint(
             f"adjoint matrices not integral: {msharp_adj.rows}, {mflat_adj.rows}")
-    return TavMorphism(f.target, f.source, msharp_adj.to_int(), mflat_adj.to_int())
+    return TavMorphism(f.target, f.source, msharp_adj, mflat_adj)

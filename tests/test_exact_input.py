@@ -21,7 +21,19 @@ from splitjac.selling import (
     selling_reduce,
 )
 from splitjac.splitting import SplittingData
-from splitjac.tav import Tav, circle
+from splitjac.tav import (
+    Tav,
+    TavMorphism,
+    adjoint,
+    check_polarization,
+    circle,
+    identity_morphism,
+    induce_polarization,
+    polarization_type,
+)
+
+EYE = Mat.identity(2)
+_T = Tav(imat(2, 1, 1, 2), EYE)
 
 FLOAT_INPUTS = {
     "rat": lambda: rat(0.5),
@@ -42,6 +54,14 @@ FLOAT_INPUTS = {
     "is_integral on map": lambda: Mat.identity(2).map(float).is_integral(),
     "to_int on map": lambda: Mat.identity(2).map(float).to_int(),
     "snf2 on map": lambda: snf2(imat(2, 0, 0, 2).map(float)),
+    "check_polarization z": lambda: check_polarization(EYE.map(float), imat(2, 1, 1, 2)),
+    "check_polarization pairing": lambda: check_polarization(EYE, imat(2, 1, 1, 2).map(float)),
+    "TavMorphism": lambda: TavMorphism(_T, _T, EYE.map(float), EYE),
+    "induce_polarization": lambda: induce_polarization(identity_morphism(_T), EYE.map(float)),
+    "adjoint z1": lambda: adjoint(identity_morphism(_T), EYE.map(float), EYE),
+    "adjoint z2": lambda: adjoint(identity_morphism(_T), EYE, EYE.map(float)),
+    "polarization_type": lambda: polarization_type(EYE.map(float)),
+    "polarization_type 1x1": lambda: polarization_type(Mat(((3,),)).map(float)),
 }
 
 

@@ -15,6 +15,7 @@ from splitjac.errors import InternalInconsistency, SingularMatrix, UnsupportedRa
 from splitjac.locus import LinForm
 from splitjac.matrices import (
     Mat,
+    adjugate,
     congruence_act,
     imat,
     inv2,
@@ -22,6 +23,7 @@ from splitjac.matrices import (
     parse_rat,
     qmat,
     rat_str,
+    scaled,
     snf2,
 )
 
@@ -242,6 +244,23 @@ def test_congruence_composition_law(x, y, q):
 def test_inv2_is_inverse(x):
     assert x @ inv2(x) == Mat.identity(2).map(Fraction)
     assert inv2(x) @ x == Mat.identity(2).map(Fraction)
+
+
+@given(st.one_of(integer_mats(), integer_mats(1, 1)))
+def test_adjugate_times_matrix_is_the_determinant(a):
+    assert a @ adjugate(a) == Mat.identity(a.nrows).scale(a.det())
+
+
+@given(st.sampled_from((1, 2)).flatmap(
+    lambda n: st.lists(st.lists(rationals(), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_scaled_clears_the_denominators_with_their_lcm(rows):
+    a = Mat(rows)
+    ints, den = scaled(a)
+    assert all(type(x) is int for r in ints.rows for x in r)
+    assert ints == a.scale(den)
+    # den is the least such scale: no prime (the denominators are at most 12) can be divided out
+    assert all(not a.scale(Fraction(den, p)).is_integral() for p in (2, 3, 5, 7, 11)
+               if den % p == 0)
 
 
 def test_snf2_goldens():

@@ -1,6 +1,7 @@
 """End-to-end curve reconstruction and the two certified harmonic covers."""
 
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given
@@ -18,11 +19,26 @@ from splitjac.reconstruct import (
 from splitjac.selling import (
     SFLIP,
     DumbbellFamily,
+    ReductionWord,
     ThetaCurve,
     in_fundamental_domain,
     sigma_coords,
 )
 from splitjac.splitting import SplittingData
+
+
+@pytest.mark.parametrize("sd", [SplittingData(18, 7, 3, 1), SplittingData(10 ** 5, 61803, 1, 1)],
+                         ids=["18-7", "golden-ratio-k"])
+def test_torelli_builds_the_moves_product_once(monkeypatch, sd):
+    builds = []
+    build = ReductionWord.__dict__["moves_matrix"].func
+    counted = cached_property(lambda word: builds.append(word) or build(word))
+    counted.__set_name__(ReductionWord, "moves_matrix")
+    monkeypatch.setattr(ReductionWord, "moves_matrix", counted)
+    trace = torelli_preimage(sd)
+    assert len(builds) == 1
+    assert trace.x == trace.word.matrix()
+    assert congruence_act(trace.x, trace.qpp) == trace.qtilde
 
 
 def test_torelli_golden_18_7():

@@ -10,10 +10,11 @@ from fractions import Fraction
 from itertools import groupby
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from conftest import pd_forms, reduced_forms
 from splitjac.errors import (
+    InternalInconsistency,
     IterationCapExceeded,
     NotInSigma,
     NotPositiveDefinite,
@@ -197,6 +198,57 @@ def test_selling_reduce_matches_unit_step_reference(q):
     with pytest.raises(IterationCapExceeded):
         selling_reduce(q, cap=len(moves))
     assert selling_reduce(q, cap=len(moves) + 1) == (qred, word)
+
+
+def oracle_fd_representative(q):
+    """fd_representative by trying each stabilizer element's congruence action in turn."""
+    l1, l2, l3 = sigma_coords(q)
+    if l3 <= l1 <= l2:
+        return q, Mat.identity(2)
+    for x in stab_sigma():
+        q2 = congruence_act(x, q)
+        l1, l2, l3 = sigma_coords(q2)
+        if l3 <= l1 <= l2:
+            return q2, x
+    raise AssertionError("no stabilizer element sorts the sigma coordinates")
+
+
+@st.composite
+def forms_with_ties(draw):
+    """Forms in sigma whose coordinates come from {0, 1, 2}, at most one of them 0."""
+    l1, l2, l3 = draw(st.lists(st.sampled_from((0, 1, 2)), min_size=3, max_size=3)
+                      .filter(lambda c: c.count(0) <= 1))
+    return Mat(((l1 + l3, -l3), (-l3, l2 + l3)))
+
+
+@given(st.one_of(reduced_forms(), forms_with_ties()))
+def test_fd_representative_picks_the_oracles_element(q):
+    assert fd_representative(q) == oracle_fd_representative(q)
+
+
+def test_fd_representative_acts_once(monkeypatch):
+    import splitjac.selling as selling
+
+    calls = []
+    act = selling.congruence_act
+    monkeypatch.setattr(selling, "congruence_act", lambda x, q: calls.append(x) or act(x, q))
+    for coords in ((1, 2, 3), (3, 2, 1), (2, 1, 1), (1, 1, 1), (0, 2, 1)):
+        l1, l2, l3 = coords
+        q = Mat(((l1 + l3, -l3), (-l3, l2 + l3)))
+        calls.clear()
+        qtilde, stab = fd_representative(q)
+        assert calls == ([] if stab == Mat.identity(2) else [stab])
+        assert sorted(sigma_coords(qtilde)) == sorted(coords)
+
+
+def test_fd_representative_certifies_the_chosen_element(monkeypatch):
+    import splitjac.selling as selling
+
+    q = Mat(((4, -1), (-1, 3)))  # coordinates (3, 2, 1)
+    # a wrong table: the identity claims to reorder the coordinates to (2, 3, 1)
+    monkeypatch.setattr(selling, "_stabilizer", lambda: ((Mat.identity(2), (1, 0, 2)),))
+    with pytest.raises(InternalInconsistency, match="does not sort"):
+        fd_representative(q)
 
 
 @given(reduced_forms())
