@@ -4,8 +4,9 @@
 For a fixed degree d there is one fan per residue k coprime to d, and the
 complementary residues k and d - k produce mirror fans of each other.
 Whether *all* the fans of one degree share the same image in curve space
-is an open question; this experiment computes the pairwise verdicts and
-reports them without asserting anything.  For each degree it also reports
+is an open question.  This experiment computes one canonical image key per
+residue (image_key), derives every pairwise verdict from key equality, and
+reports the verdicts without asserting anything.  For each degree it also reports
 whether the equal pairs are exactly the pairs with k2 = +-k1 or
 k2 = +-k1^-1 (mod d); a match over a range of d is evidence, not a proof.
 
@@ -22,7 +23,7 @@ import json
 import sys
 from math import gcd
 
-from splitjac import build_fan, compare_images, image_cones
+from splitjac import build_fan, image_cones, image_key
 
 
 def parse_args(argv) -> argparse.Namespace:
@@ -44,11 +45,11 @@ def run(args: argparse.Namespace) -> dict:
     for d in range(args.min_d, args.max_d + 1):
         ks = [k for k in range(1, d) if gcd(k, d) == 1]
         fans = {k: build_fan(d, k) for k in ks}
+        keys = {k: image_key(fans[k]) for k in ks}
         pairs = []
         for k1, k2 in itertools.combinations(ks, 2):
-            result = compare_images(fans[k1], fans[k2])
             related = k2 in {k1, d - k1, pow(k1, -1, d), d - pow(k1, -1, d)}
-            pairs.append({"k1": k1, "k2": k2, "equal": result.equal, "related": related})
+            pairs.append({"k1": k1, "k2": k2, "equal": keys[k1] == keys[k2], "related": related})
         report[d] = {
             "cone_counts": {k: len(fans[k].cones) for k in ks},
             "pairs": pairs,

@@ -88,7 +88,7 @@ def _csv_writer():
 def _mat_from_strs(rows) -> Mat:
     try:
         return Mat(tuple(tuple(parse_rat(str(x)) for x in row) for row in rows))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ValidationError) as exc:
         raise ValidationError(f"bad matrix in input: {rows!r} ({exc})") from exc
 
 

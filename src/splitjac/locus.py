@@ -11,7 +11,14 @@ rays, and the symbolic edge-length map phi_sigma (the sigma coordinates of
 the reduced form as linear forms).  The module also compares the images of
 two such fans inside the length space of genus-2 curves up to relabeling of
 the three coordinates, through a canonical form of each image: its maximal
-arcs in each plane.
+arcs in each plane (image_key).
+
+The coefficients of the period form have denominator d, so the fan is
+computed on d times the form, whose linear forms have int coefficients;
+scaling by d > 0 changes no sign and no kernel direction.  Only the public
+inequalities and phi_sigma are divided by d, once per form.  image_cones
+scales each cone's phi_sigma back to int coefficients before it evaluates
+them at the rays.  A LinForm's coefficients are int or Fraction.
 """
 
 from __future__ import annotations
@@ -30,14 +37,22 @@ from .splitting import check_dk
 
 @dataclass(frozen=True)
 class LinForm:
-    """Linear form a*lp + b*l with exact rational coefficients."""
+    """Linear form a*lp + b*l with exact rational coefficients.
 
-    a: Fraction
-    b: Fraction
+    An int or Fraction coefficient is kept as given, so forms with int
+    coefficients stay on ints under +, -, negation and int multiples; any
+    other value goes through rat (a float raises ValidationError).  Equal
+    int and Fraction forms are equal and hash equal.
+    """
+
+    a: int | Fraction
+    b: int | Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", rat(self.a))
-        object.__setattr__(self, "b", rat(self.b))
+        if type(self.a) is not int and type(self.a) is not Fraction:
+            object.__setattr__(self, "a", rat(self.a))
+        if type(self.b) is not int and type(self.b) is not Fraction:
+            object.__setattr__(self, "b", rat(self.b))
 
     def __add__(self, other):
         if isinstance(other, LinForm):
@@ -63,7 +78,7 @@ class LinForm:
 
     __rmul__ = __mul__
 
-    def evaluate(self, lp, l) -> Fraction:
+    def evaluate(self, lp, l):
         if isinstance(lp, float) or isinstance(l, float):
             raise ValidationError(f"lp and l must be exact, got {lp!r} and {l!r}")
         return self.a * lp + self.b * l
@@ -75,7 +90,7 @@ class LinForm:
         """Integer-coefficient multiple with gcd 1 and b > 0 (or b = 0, a > 0)."""
         if self.is_zero():
             raise ValueError("zero form has no primitive representative")
-        x, y = _primitive((self.a, self.b))
+        x, y = _primitive(_cleared((self.a, self.b)))
         if y < 0 or (y == 0 and x < 0):
             x, y = -x, -y
         return LinForm(x, y)
@@ -84,17 +99,22 @@ class LinForm:
         """Primitive direction in the closed quadrant where the form vanishes."""
         if self.is_zero():
             return None
-        x, y = _primitive((self.b, -self.a))
+        a, b = _cleared((self.a, self.b))
+        x, y = _primitive((b, -a))
         for cand in ((x, y), (-x, -y)):
             if cand[0] >= 0 and cand[1] >= 0:
                 return cand
         return None
 
 
-def _primitive(vals) -> tuple:
-    """The integer multiple of a nonzero int or Fraction vector whose entries have gcd 1."""
+def _cleared(vals) -> tuple:
+    """m * vals for the least m > 0 that makes every entry of an int or Fraction vector an int."""
     m = lcm(*(v.denominator for v in vals))
-    ints = [v.numerator * (m // v.denominator) for v in vals]
+    return tuple(v.numerator * (m // v.denominator) for v in vals)
+
+
+def _primitive(ints) -> tuple:
+    """A nonzero int vector divided by the gcd of its entries."""
     g = gcd(*ints)
     return tuple(x // g for x in ints)
 
@@ -130,14 +150,14 @@ def _negative_at_lp_axis(f: LinForm) -> bool:
     return f.a < 0 or (f.a == 0 and f.b < 0)
 
 
-def _prefix_forms(q: Mat, runs) -> tuple:
+def _prefix_forms(triple, runs) -> tuple:
     """The word, its decision forms and the terminal forms after every prefix.
 
     T2 fires on -(a + b) and T1 on -(c + b) of the triple it acts on, so
     decision form i is minus a terminal form of triple i.
     """
     word, fired, terminals = [], [], []
-    a, b, c = q[0, 0], q[0, 1], q[1, 1]
+    a, b, c = triple
     for move, n, _ in runs:
         for _ in range(n):
             terminals.append((a + b, c + b, -b))
@@ -183,14 +203,21 @@ def build_fan(d: int, k: int, cap: int = None) -> FanDelta:
     are more than cap cones.
     """
     check_dk(d, k)
-    q = qpp_symbolic(d, k)
-    _, runs = reduce_triple(q[0, 0], q[0, 1], q[1, 1], _negative_at_lp_axis, DEFAULT_CAP)
-    word, fired, terminals = _prefix_forms(q, runs)
+    # (q11, q12, q22) of d * qpp_symbolic(d, k): the same signs and kernels, on ints
+    triple = (LinForm(d * d, 0), LinForm(-k * d, 0), LinForm(k * k, 1))
+    _, runs = reduce_triple(*triple, _negative_at_lp_axis, DEFAULT_CAP)
+    word, fired, terminals = _prefix_forms(triple, runs)
     n = len(word)
     if cap is not None and n + 1 > cap:
         raise ConeCapExceeded(f"more than {cap} cones for d={d}, k={k}")
     rays = [(1, 0)] + [f.kernel_direction() for f in reversed(fired)] + [(0, 1)]
     _certify_fan(fired, terminals, rays)
+
+    def unscaled(f: LinForm) -> LinForm:
+        return LinForm(Fraction(f.a, d), Fraction(f.b, d))
+
+    fired = tuple(map(unscaled, fired))
+    terminals = [tuple(map(unscaled, t)) for t in terminals]
     cones = tuple(FanCone(word=word[:m], inequalities=fired[:m] + terminals[m],
                           rays=(rays[n - m], rays[n - m + 1]), phi_sigma=terminals[m])
                   for m in range(n, -1, -1))
@@ -241,16 +268,23 @@ def _plane_normal(v1, v2) -> tuple:
 
 
 def image_cones(fan: FanDelta) -> tuple:
-    """Per maximal cone, the image cone in length space: a generator pair."""
+    """Per maximal cone, the image cone in length space: a generator pair.
+
+    Each cone's phi_sigma is scaled once to int coefficients (by the lcm of
+    their six denominators) and evaluated at the rays on ints; the primitive
+    image vectors do not depend on that positive scale.
+    """
     out = []
     for cone in fan.cones:
+        c = _cleared([x for f in cone.phi_sigma for x in (f.a, f.b)])
+        forms = tuple(zip(c[0::2], c[1::2]))
         vecs = []
-        for ray in cone.rays:
-            vals = tuple(f.evaluate(ray[0], ray[1]) for f in cone.phi_sigma)
+        for x, y in cone.rays:
+            vals = tuple(a * x + b * y for a, b in forms)
             if all(v == 0 for v in vals):
-                raise InternalInconsistency(f"image of ray {ray} is zero")
+                raise InternalInconsistency(f"image of ray {(x, y)} is zero")
             if any(v < 0 for v in vals):
-                raise InternalInconsistency(f"image of ray {ray} leaves the positive octant")
+                raise InternalInconsistency(f"image of ray {(x, y)} leaves the positive octant")
             vecs.append(_primitive(vals))
         _plane_normal(vecs[0], vecs[1])  # raises if the image degenerates to a line
         out.append((vecs[0], vecs[1]))
@@ -297,6 +331,18 @@ def _arcs(cones) -> dict:
     return out
 
 
+def _key(cones) -> tuple:
+    return tuple(sorted(_arcs(_saturate(cones)).items()))
+
+
+def image_key(fan: FanDelta) -> tuple:
+    """Hashable canonical form of the fan's image up to coordinate relabeling.
+
+    Two fans of one degree have equal images exactly when their keys are equal.
+    """
+    return _key(image_cones(fan))
+
+
 @dataclass(frozen=True)
 class ComparisonResult:
     equal: bool
@@ -309,6 +355,6 @@ def compare_images(fan1: FanDelta, fan2: FanDelta) -> ComparisonResult:
     if fan1.d != fan2.d:
         raise ValidationError(f"fans have different d: {fan1.d} != {fan2.d}")
     ic1, ic2 = image_cones(fan1), image_cones(fan2)
-    return ComparisonResult(equal=_arcs(_saturate(ic1)) == _arcs(_saturate(ic2)),
+    return ComparisonResult(equal=_key(ic1) == _key(ic2),
                             images1=tuple(canonical_image(*c) for c in ic1),
                             images2=tuple(canonical_image(*c) for c in ic2))

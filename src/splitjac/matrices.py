@@ -41,9 +41,10 @@ def parse_rat(s: str) -> Fraction:
 class Mat:
     """Immutable matrix as a tuple of row tuples.
 
-    `Mat(rows)` checks its rows and raises ValidationError on a float entry (it
-    does not coerce: entries may be symbolic).  `@`, `.T`, `map`, `imat` and
-    `qmat` build results by `_mat`, skipping that check on a known-good shape.
+    `Mat(rows)` checks its rows and raises ValidationError on empty or ragged
+    rows or a float entry (it does not coerce: entries may be symbolic).  `@`,
+    `.T`, `map`, `imat` and `qmat` build results by `_mat`, skipping that check
+    on a known-good shape.
     """
 
     rows: tuple
@@ -51,9 +52,9 @@ class Mat:
     def __post_init__(self):
         rows = tuple(tuple(r) for r in self.rows)
         if not rows or not rows[0]:
-            raise ValueError("empty matrix")
+            raise ValidationError("empty matrix")
         if any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged rows")
+            raise ValidationError("ragged rows")
         if any(isinstance(x, float) for r in rows for x in r):
             raise ValidationError(f"matrix entries must be exact, got {rows!r}")
         object.__setattr__(self, "rows", rows)
@@ -140,7 +141,7 @@ class Mat:
 
     def to_int(self) -> "Mat":
         if not self.is_integral():
-            raise ValueError("matrix is not integral")
+            raise ValidationError("matrix is not integral")
         return self.map(_to_int)
 
     def to_strs(self) -> list:
@@ -298,7 +299,7 @@ def snf2(a: Mat) -> Snf2:
     if a.shape != (2, 2):
         raise UnsupportedRank(f"snf2 requires 2x2, got {a.shape}")
     if not a.is_integral():
-        raise ValueError("snf2 requires integer entries")
+        raise ValidationError("snf2 requires integer entries")
     a_int = a.map(_to_int)
     m = [list(r) for r in a_int.rows]
     u = [[1, 0], [0, 1]]

@@ -16,7 +16,8 @@ second lattices it is mflat.
 
 The polarization, compatibility, descent and adjoint checks run on integers.
 A pairing p enters them as (n, D) = scaled(p): D is the lcm of its entries'
-denominators and n = D * p.  Symmetry and definiteness of z^T @ n are those
+denominators and n = D * p, computed once per Tav and kept as its
+scaled_pairing.  Symmetry and definiteness of z^T @ n are those
 of the Gram matrix z^T @ p, as D > 0; compatibility is tested as
 msharp^T @ n_src * D_tgt == n_tgt @ mflat * D_src; a matrix m is inverted as
 adjugate(m) / det(m), with the division tested for exactness.  The rational
@@ -26,7 +27,7 @@ InduceResult.m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import (
@@ -50,13 +51,16 @@ def gram_matrix(polarization: Mat, pairing: Mat) -> Mat:
     return polarization.T @ pairing
 
 
-def check_polarization(z: Mat, pairing: Mat) -> None:
-    """Raise unless z is a polarization for the given pairing."""
+def check_polarization(z: Mat, pairing: Mat, n: Mat | None = None) -> None:
+    """Raise unless z is a polarization for the given pairing.
+
+    n is scaled(pairing)[0] when the caller already has it (a Tav keeps it).
+    """
     if z.shape != pairing.shape:
         raise ValidationError(f"polarization shape {z.shape} != pairing shape {pairing.shape}")
     if not z.is_integral():
         raise ValidationError("polarization must be an integer matrix")
-    g = z.to_int().T @ scaled(pairing)[0]
+    g = z.to_int().T @ (scaled(pairing)[0] if n is None else n)
     if not g.is_symmetric():
         raise ValidationError(
             f"polarization Gram matrix not symmetric: {gram_matrix(z, pairing).rows}")
@@ -91,6 +95,7 @@ class Tav:
 
     pairing: Mat
     polarization: Mat | None = None
+    scaled_pairing: tuple = field(init=False, repr=False, compare=False)  # scaled(pairing)
 
     def __post_init__(self):
         p = self.pairing.map(rat)
@@ -101,8 +106,9 @@ class Tav:
         if p.det() == 0:
             raise SingularMatrix("pairing matrix is degenerate")
         object.__setattr__(self, "pairing", p)
+        object.__setattr__(self, "scaled_pairing", scaled(p))
         if self.polarization is not None:
-            check_polarization(self.polarization, p)
+            check_polarization(self.polarization, p, self.scaled_pairing[0])
             object.__setattr__(self, "polarization", self.polarization.to_int())
 
     @property
@@ -193,8 +199,8 @@ class TavMorphism:
             raise ValidationError("morphism matrices must be integral")
         object.__setattr__(self, "msharp", self.msharp.to_int())
         object.__setattr__(self, "mflat", self.mflat.to_int())
-        n_src, d_src = scaled(self.source.pairing)
-        n_tgt, d_tgt = scaled(self.target.pairing)
+        n_src, d_src = self.source.scaled_pairing
+        n_tgt, d_tgt = self.target.scaled_pairing
         if (self.msharp.T @ n_src).scale(d_tgt) != (n_tgt @ self.mflat).scale(d_src):
             lhs = self.msharp.T @ self.source.pairing
             rhs = self.target.pairing @ self.mflat
@@ -245,12 +251,12 @@ def classify(f: TavMorphism) -> MorphismClass:
 
 def pullback_polarization(f: TavMorphism, z2: Mat) -> Mat:
     """Pullback msharp @ z2 @ mflat of a target polarization along an isogeny."""
-    check_polarization(z2, f.target.pairing)
+    check_polarization(z2, f.target.pairing, f.target.scaled_pairing[0])
     if not classify(f).isogeny:
         raise NotIsogeny("pullback requires an isogeny")
     z1 = f.msharp @ z2 @ f.mflat
     try:
-        check_polarization(z1, f.source.pairing)
+        check_polarization(z1, f.source.pairing, f.source.scaled_pairing[0])
     except (ValidationError, NotPositiveDefinite) as exc:
         raise InternalInconsistency(f"pullback failed to be a polarization: {exc}") from exc
     return z1
@@ -283,7 +289,7 @@ def induce_polarization(f: TavMorphism, z1: Mat) -> InduceResult:
     The descent exists iff m is integral; then pullback(f, m) == z1.  Both
     inverses are adjugate / det, and each division is tested on integers.
     """
-    check_polarization(z1, f.source.pairing)
+    check_polarization(z1, f.source.pairing, f.source.scaled_pairing[0])
     if f.source.rank != f.target.rank:
         raise NotIsogeny("ranks differ")
     det_flat, det_sharp = f.mflat.det(), f.msharp.det()
@@ -299,7 +305,7 @@ def induce_polarization(f: TavMorphism, z1: Mat) -> InduceResult:
     zeta2 = _exact_quotient(a @ adjugate(f.mflat), det_flat)
     if zeta2 is None:
         return InduceResult(m=a @ inv2(f.mflat), zeta2=None)
-    check_polarization(zeta2, f.target.pairing)
+    check_polarization(zeta2, f.target.pairing, f.target.scaled_pairing[0])
     if f.msharp @ zeta2 @ f.mflat != z1:
         raise InternalInconsistency("induced polarization does not pull back to z1")
     return InduceResult(m=zeta2, zeta2=zeta2)
@@ -310,8 +316,8 @@ def adjoint(f: TavMorphism, z1: Mat, z2: Mat) -> TavMorphism:
 
     The composite adjoint(f) . f is multiplication by deg(f) on the source.
     """
-    check_polarization(z1, f.source.pairing)
-    check_polarization(z2, f.target.pairing)
+    check_polarization(z1, f.source.pairing, f.source.scaled_pairing[0])
+    check_polarization(z2, f.target.pairing, f.target.scaled_pairing[0])
     if not is_principal(z1):
         raise NotPrincipal(f"source polarization type {polarization_type(z1)}")
     if not is_principal(z2):

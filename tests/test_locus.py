@@ -1,9 +1,11 @@
 """Symbolic reduction fans and image comparison in length space."""
 
+import importlib.util
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import groupby, permutations
-from math import gcd
+from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -25,6 +27,7 @@ from splitjac.locus import (
     canonical_image,
     compare_images,
     image_cones,
+    image_key,
     qpp_symbolic,
 )
 from splitjac.matrices import Mat
@@ -39,8 +42,39 @@ from splitjac.selling import (
 from splitjac.splitting import SplittingData, qpp
 
 
-# --- oracles: a cone-by-cone sampling walk of the quadrant, and a
-# compare_images that scans the whole pool for every cone ---
+# --- oracles: build_fan and image_cones on Fraction coefficients, a
+# cone-by-cone sampling walk of the quadrant, and a compare_images that
+# scans the whole pool for every cone ---
+
+def oracle_build_fan(d, k):
+    """build_fan on qpp_symbolic itself, whose coefficients have denominator d."""
+    q = qpp_symbolic(d, k)
+    triple = (q[0, 0], q[0, 1], q[1, 1])
+    _, runs = reduce_triple(*triple, locus._negative_at_lp_axis, DEFAULT_CAP)
+    word, fired, terminals = locus._prefix_forms(triple, runs)
+    n = len(word)
+    rays = [(1, 0)] + [f.kernel_direction() for f in reversed(fired)] + [(0, 1)]
+    locus._certify_fan(fired, terminals, rays)
+    cones = tuple(FanCone(word=word[:m], inequalities=fired[:m] + terminals[m],
+                          rays=(rays[n - m], rays[n - m + 1]), phi_sigma=terminals[m])
+                  for m in range(n, -1, -1))
+    return FanDelta(d=d, k=k, cones=cones)
+
+
+def _fraction_primitive(vals):
+    m = lcm(*(v.denominator for v in vals))
+    ints = [v.numerator * (m // v.denominator) for v in vals]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def oracle_image_cones(fan):
+    """image_cones with phi_sigma evaluated at the rays in Fraction arithmetic."""
+    return tuple(tuple(_fraction_primitive(tuple(f.evaluate(Fraction(x), Fraction(y))
+                                                 for f in cone.phi_sigma))
+                       for x, y in cone.rays)
+                 for cone in fan.cones)
+
 
 class DegenerateSample(SplitJacError):
     """Sample point on a wall of the fan; the walk oracle retries with another."""
@@ -211,6 +245,22 @@ def test_linform_algebra():
         LinForm(0, 0).primitive()
 
 
+def test_linform_keeps_int_and_fraction_coefficients():
+    f = LinForm(3, Fraction(1, 2))
+    assert (type(f.a), type(f.b)) == (int, Fraction)
+    g = LinForm(Fraction(4, 2), 0)
+    assert (type(g.a), type(g.b)) == (Fraction, int)
+    h = LinForm("1/2", "3")
+    assert h == LinForm(Fraction(1, 2), 3) and type(h.b) is Fraction
+    for a, b in ((0.5, 1), (1, 2.0)):
+        with pytest.raises(ValidationError):
+            LinForm(a, b)
+    assert LinForm(2, 0) == LinForm(Fraction(2), Fraction(0))
+    assert hash(LinForm(2, 0)) == hash(LinForm(Fraction(2), Fraction(0)))
+    total = 5 * (LinForm(1, -2) - LinForm(3, 4)) + LinForm(0, 1)
+    assert total == LinForm(-10, -29) and (type(total.a), type(total.b)) == (int, int)
+
+
 def test_linform_evaluate_takes_exact_input_only():
     f = LinForm(Fraction(1, 3), -2)
     assert f.evaluate(1, 2) == Fraction(-11, 3)
@@ -321,6 +371,48 @@ def test_cone_count_is_sum_of_partial_quotients():
         runs = [len(list(g)) for _, g in groupby(fan.cones[0].word)]
         assert runs == [n for n in pq[:-1] + [pq[-1] - 1] if n], (d, k)
     assert build_fan(41, 9).cones[0].word == ("T1",) * 4 + ("T2", "T1") + ("T2",) * 3
+
+
+def test_build_fan_matches_the_fraction_oracle():
+    for d, k in coprime_pairs(40) + [(89, 55), (1000, 1)]:
+        fan, want = build_fan(d, k), oracle_build_fan(d, k)
+        assert (fan.d, fan.k, len(fan.cones)) == (want.d, want.k, len(want.cones)), (d, k)
+        for got, exp in zip(fan.cones, want.cones):
+            assert got.word == exp.word, (d, k)
+            assert got.inequalities == exp.inequalities, (d, k, got.word)
+            assert got.rays == exp.rays, (d, k, got.word)
+            assert got.phi_sigma == exp.phi_sigma, (d, k, got.word)
+            assert all(type(c) is Fraction
+                       for f in got.inequalities for c in (f.a, f.b)), (d, k, got.word)
+
+
+def test_image_cones_match_the_fraction_oracle():
+    fans = [build_fan(d, k) for d, k in coprime_pairs(23) + [(40, 1), (89, 55)]]
+    fans += [walk_fan(d, k) for d, k in coprime_pairs(9) + [(41, 9)]]
+    for fan in fans:
+        assert image_cones(fan) == oracle_image_cones(fan), (fan.d, fan.k)
+
+
+def test_fan_certificate_and_images_compute_on_ints(monkeypatch):
+    walked = walk_fan(7, 3)
+    values = []
+    evaluate, primitive = LinForm.evaluate, locus._primitive
+
+    def recorded_evaluate(self, lp, l):
+        values.append(evaluate(self, lp, l))
+        return values[-1]
+
+    def recorded_primitive(ints):
+        values.extend(ints)
+        return primitive(ints)
+    monkeypatch.setattr(LinForm, "evaluate", recorded_evaluate)
+    monkeypatch.setattr(locus, "_primitive", recorded_primitive)
+    fan = build_fan(41, 9)
+    assert len(values) > 3 * len(fan.cones) and all(type(v) is int for v in values)
+    for f in (fan, walked):
+        del values[:]
+        image_cones(f)
+        assert len(values) >= 6 * len(f.cones) and all(type(v) is int for v in values)
 
 
 def test_build_fan_at_d_1000():
@@ -498,11 +590,26 @@ def test_compare_images_reflexive(d, k):
 def test_compare_images_matches_pool_scan():
     for d in range(2, 14):
         fans = {k: build_fan(d, k) for k in range(1, d) if gcd(k, d) == 1}
+        keys = {k: image_key(fan) for k, fan in fans.items()}
         for k1 in fans:
             for k2 in fans:
                 if k1 < k2:
-                    assert (compare_images(fans[k1], fans[k2]).equal
-                            == pool_scan_equal(fans[k1], fans[k2])), (d, k1, k2)
+                    want = pool_scan_equal(fans[k1], fans[k2])
+                    assert compare_images(fans[k1], fans[k2]).equal == want, (d, k1, k2)
+                    assert (keys[k1] == keys[k2]) == want, (d, k1, k2)
+        orbits = {frozenset({k, d - k, pow(k, -1, d), d - pow(k, -1, d)}) for k in fans}
+        assert len(set(keys.values())) == len(orbits), d
+
+
+def test_fan_image_experiment_smoke(capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "fan_image_experiment.py"
+    spec = importlib.util.spec_from_file_location("fan_image_experiment", path)
+    experiment = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(experiment)
+    assert experiment.main(["--min-d", "2", "--max-d", "12"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == "pairs compared: 102, images equal: 38, different: 64"
+    assert lines[-1] == "pairs against the rule k2 = +-k1^(+-1) mod d: 0"
 
 
 @pytest.mark.parametrize("d", range(3, 7))

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 import splitjac.matrices as matrices
 from conftest import integer_mats, pd_forms, rationals, unimodular2
-from splitjac.errors import InternalInconsistency, SingularMatrix, UnsupportedRank
+from splitjac.errors import InternalInconsistency, SingularMatrix, UnsupportedRank, ValidationError
 from splitjac.locus import LinForm
 from splitjac.matrices import (
     Mat,
@@ -49,15 +49,15 @@ def test_mat_basic_ops():
 
 
 def test_mat_rejects_ragged():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         Mat(((1, 2), (3,)))
 
 
 @pytest.mark.parametrize("rows", [(), ((),), ((), ()), ((1, 2), (3,)), ((1,), (2, 3)), [[1], []]])
 def test_mat_and_mat_of_reject_empty_and_ragged_rows(rows):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         Mat(rows)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         Mat.of(rows)
 
 
@@ -186,7 +186,7 @@ def test_is_integral_and_to_int_match_the_oracle(rows):
         assert all(type(v) is int for r in as_int.rows for v in r)
         assert _well_formed(as_int)
     else:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             x.to_int()
 
 
@@ -272,7 +272,7 @@ def test_snf2_goldens():
 
 
 def test_snf2_rejects_non_integer():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         snf2(qmat("1/2", 0, 0, 1))
 
 

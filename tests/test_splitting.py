@@ -167,6 +167,19 @@ def test_build_diagram_certifies_each_polarization_once(monkeypatch):
     assert calls["matmul"] <= 28
 
 
+def test_build_diagram_scales_each_pairing_once(monkeypatch):
+    seen = []
+    scaled = tav.scaled
+
+    def counted(a):
+        seen.append(a)
+        return scaled(a)
+    monkeypatch.setattr(tav, "scaled", counted)
+    build_diagram(SplittingData(d=18, k=7, lp=3, l=1))
+    # the two circles, their product, the quotient and jpp; morphisms and checks reuse them
+    assert len(seen) == len(set(seen)) == 5
+
+
 @pytest.mark.parametrize("zeta2", [None, imat(2, 0, 0, 1), imat(2, 1, 1, 1), imat(1, 0, 0, 2)])
 def test_build_jpp_rejects_a_wrong_descent(monkeypatch, zeta2):
     wrong = InduceResult(m=qmat(Fraction(1, 2), 0, 0, 1) if zeta2 is None else zeta2, zeta2=zeta2)
