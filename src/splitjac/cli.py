@@ -272,7 +272,7 @@ def cmd_fan(args) -> int:
             for i, cone in enumerate(fan.cones):
                 (x1, y1), (x2, y2) = cone.rays
                 w.writerow([i, ".".join(cone.word), x1, y1, x2, y2, x1 + x2, y1 + y2])
-    rays = boundary_rays(args.d, args.k, fan=fan)
+    rays = boundary_rays(fan)
     return _emit_json({
         "d": fan.d, "k": fan.k,
         "num_cones": len(fan.cones),

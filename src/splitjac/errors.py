@@ -34,10 +34,6 @@ class NotPrincipal(SplitJacError):
     """Polarization is required to be principal (type (1,1)) but is not."""
 
 
-class NonIntegralAdjoint(SplitJacError):
-    """Adjoint matrices came out non-integral."""
-
-
 class ValidationError(SplitJacError):
     """Structured input fails its validity conditions."""
 

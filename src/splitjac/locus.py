@@ -27,10 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import permutations
-from math import gcd, lcm
+from math import gcd
 
 from .errors import ConeCapExceeded, InternalInconsistency, ValidationError
-from .matrices import Mat, rat
+from .matrices import Mat, cleared, rat
 from .selling import DEFAULT_CAP, reduce_triple
 from .splitting import check_dk
 
@@ -89,8 +89,8 @@ class LinForm:
     def primitive(self) -> "LinForm":
         """Integer-coefficient multiple with gcd 1 and b > 0 (or b = 0, a > 0)."""
         if self.is_zero():
-            raise ValueError("zero form has no primitive representative")
-        x, y = _primitive(_cleared((self.a, self.b)))
+            raise ValidationError("zero form has no primitive representative")
+        x, y = _primitive(cleared((self.a, self.b))[0])
         if y < 0 or (y == 0 and x < 0):
             x, y = -x, -y
         return LinForm(x, y)
@@ -99,18 +99,12 @@ class LinForm:
         """Primitive direction in the closed quadrant where the form vanishes."""
         if self.is_zero():
             return None
-        a, b = _cleared((self.a, self.b))
+        (a, b), _ = cleared((self.a, self.b))
         x, y = _primitive((b, -a))
         for cand in ((x, y), (-x, -y)):
             if cand[0] >= 0 and cand[1] >= 0:
                 return cand
         return None
-
-
-def _cleared(vals) -> tuple:
-    """m * vals for the least m > 0 that makes every entry of an int or Fraction vector an int."""
-    m = lcm(*(v.denominator for v in vals))
-    return tuple(v.numerator * (m // v.denominator) for v in vals)
 
 
 def _primitive(ints) -> tuple:
@@ -224,14 +218,12 @@ def build_fan(d: int, k: int, cap: int = None) -> FanDelta:
     return FanDelta(d=d, k=k, cones=cones)
 
 
-def boundary_rays(d: int, k: int, fan: FanDelta = None) -> tuple:
+def boundary_rays(fan: FanDelta) -> tuple:
     """(word, form) pairs for the rays where the curve degenerates to a dumbbell.
 
     These are the vanishing loci of the terminal forms l1, l2 that meet the
     open quadrant, i.e. whose primitive coefficients have opposite signs.
     """
-    if fan is None:
-        fan = build_fan(d, k)
     out = []
     for cone in fan.cones:
         l1, l2, _ = cone.phi_sigma
@@ -261,10 +253,7 @@ def _plane_normal(v1, v2) -> tuple:
     if c == (0, 0, 0):
         raise InternalInconsistency(f"degenerate image cone: {v1}, {v2}")
     n = _primitive(c)
-    for x in n:
-        if x != 0:
-            return n if x > 0 else tuple(-y for y in n)
-    raise InternalInconsistency("unreachable: zero normal")
+    return n if n > (0, 0, 0) else tuple(-y for y in n)  # first nonzero entry positive
 
 
 def image_cones(fan: FanDelta) -> tuple:
@@ -276,7 +265,7 @@ def image_cones(fan: FanDelta) -> tuple:
     """
     out = []
     for cone in fan.cones:
-        c = _cleared([x for f in cone.phi_sigma for x in (f.a, f.b)])
+        c, _ = cleared(x for f in cone.phi_sigma for x in (f.a, f.b))
         forms = tuple(zip(c[0::2], c[1::2]))
         vecs = []
         for x, y in cone.rays:

@@ -1,8 +1,8 @@
 """Exact small-matrix algebra over the rationals.
 
-Everything in this package is 1x1, 1x2, 2x1 or 2x2 and exact: entries are ints,
-fractions.Fraction, or any object supporting ring arithmetic (the fan module
-feeds in symbolic linear forms).  No floats: `rat` and `Mat(rows)` reject them.
+Everything in this package is 1x1, 1x2, 2x1 or 2x2 and exact: entries are ints
+or fractions.Fraction, or any object supporting ring arithmetic (`qpp_symbolic`
+builds a Mat of linear forms).  No floats: `rat` and `Mat(rows)` reject them.
 """
 
 from __future__ import annotations
@@ -60,10 +60,6 @@ class Mat:
         object.__setattr__(self, "rows", rows)
 
     @classmethod
-    def of(cls, rows) -> "Mat":
-        return cls(tuple(tuple(r) for r in rows))
-
-    @classmethod
     def identity(cls, n: int) -> "Mat":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
@@ -87,16 +83,17 @@ class Mat:
         a, b = self.rows, other.rows
         n = len(b)
         if len(a[0]) != n:
-            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+            raise ValidationError(f"shape mismatch {self.shape} @ {other.shape}")
         cols = tuple(zip(*b))
-        # Each entry is a0*b0, then acc + a1*b1, ...: symbolic entries see the same calls.
+        # Each entry is a0*b0, then acc + a1*b1, ...: a symbolic entry sees the calls
+        # of the generic product at every shape.
         if n == 2:
             return _mat(tuple(tuple(r0 * c0 + r1 * c1 for c0, c1 in cols) for r0, r1 in a))
         return _mat(tuple(tuple(_dot(r, c) for c in cols) for r in a))
 
     def __add__(self, other: "Mat") -> "Mat":
         if self.shape != other.shape:
-            raise ValueError("shape mismatch")
+            raise ValidationError("shape mismatch")
         return Mat(tuple(tuple(a + b for a, b in zip(ra, rb))
                          for ra, rb in zip(self.rows, other.rows)))
 
@@ -125,7 +122,7 @@ class Mat:
 
     def trace(self):
         if self.nrows != self.ncols:
-            raise ValueError("trace of non-square matrix")
+            raise ValidationError("trace of non-square matrix")
         acc = self.rows[0][0]
         for i in range(1, self.nrows):
             acc = acc + self.rows[i][i]
@@ -137,12 +134,12 @@ class Mat:
             for i in range(self.nrows) for j in range(i + 1, self.ncols))
 
     def is_integral(self) -> bool:
-        return all(_denominator(x) == 1 for r in self.rows for x in r)
+        return all(_ratio(x)[1] == 1 for r in self.rows for x in r)
 
     def to_int(self) -> "Mat":
         if not self.is_integral():
             raise ValidationError("matrix is not integral")
-        return self.map(_to_int)
+        return self.map(lambda x: int(_ratio(x)[0]))
 
     def to_strs(self) -> list:
         """Row-major nested list of exact rational strings (for JSON)."""
@@ -163,23 +160,6 @@ def _dot(r, c):
     return acc
 
 
-def _denominator(x) -> int:
-    if isinstance(x, int):
-        return 1
-    if isinstance(x, Fraction):
-        return x.denominator
-    return rat(x).denominator
-
-
-def _to_int(x) -> int:
-    """The int value of an integral entry."""
-    if isinstance(x, int):
-        return int(x)
-    if isinstance(x, Fraction):
-        return x.numerator
-    return int(rat(x))
-
-
 def imat(a, b, c, d) -> Mat:
     """2x2 integer matrix [[a,b],[c,d]]; a float or non-integral entry raises ValidationError."""
     m = _mat(((a, b), (c, d)))
@@ -187,7 +167,7 @@ def imat(a, b, c, d) -> Mat:
         return m
     if not m.is_integral():
         raise ValidationError(f"imat requires integer entries, got {m.rows}")
-    return m.map(_to_int)
+    return m.to_int()
 
 
 # Sign flip of the second basis vector: turns q12 into -q12.
@@ -232,17 +212,25 @@ def adjugate(a: Mat) -> Mat:
     return _mat(((s, -q), (-r, p)))
 
 
-def scaled(a: Mat) -> tuple:
-    """(n, den): den is the lcm of the entries' denominators and n = den * a, an int Mat.
+def cleared(vals) -> tuple:
+    """(ints, den): den is the lcm of the values' denominators and ints = den * vals.
 
-    A float entry raises ValidationError.
+    A float value raises ValidationError.
     """
-    ratios = tuple(tuple(_ratio(x) for x in r) for r in a.rows)
-    den = lcm(*(q for r in ratios for _, q in r))
-    return _mat(tuple(tuple(p * (den // q) for p, q in r) for r in ratios)), den
+    ratios = tuple(map(_ratio, vals))
+    den = lcm(*(q for _, q in ratios))
+    return tuple(p * (den // q) for p, q in ratios), den
+
+
+def scaled(a: Mat) -> tuple:
+    """(n, den): den is the lcm of the entries' denominators and n = den * a, an int Mat."""
+    ints, den = cleared(x for r in a.rows for x in r)
+    w = a.ncols
+    return _mat(tuple(ints[i:i + w] for i in range(0, len(ints), w))), den
 
 
 def _ratio(x) -> tuple:
+    """(numerator, denominator) of an exact number."""
     if isinstance(x, int):
         return x, 1
     if not isinstance(x, Fraction):
@@ -300,7 +288,7 @@ def snf2(a: Mat) -> Snf2:
         raise UnsupportedRank(f"snf2 requires 2x2, got {a.shape}")
     if not a.is_integral():
         raise ValidationError("snf2 requires integer entries")
-    a_int = a.map(_to_int)
+    a_int = a.to_int()
     m = [list(r) for r in a_int.rows]
     u = [[1, 0], [0, 1]]
     v = [[1, 0], [0, 1]]
@@ -353,7 +341,7 @@ def snf2(a: Mat) -> Snf2:
     if m[1][1] < 0:
         lmul([[1, 0], [0, -1]])
 
-    um, dm, vm = Mat.of(u), Mat.of(m), Mat.of(v)
+    um, dm, vm = Mat(u), Mat(m), Mat(v)
     g1, g2 = dm[0, 0], dm[1, 1]
     g_all = gcd(gcd(a_int[0, 0], a_int[0, 1]), gcd(a_int[1, 0], a_int[1, 1]))
     checks = (

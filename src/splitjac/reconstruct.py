@@ -20,13 +20,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import floor
 
-from .errors import (
-    InternalInconsistency,
-    NonIntegralSlope,
-    NonPositiveLength,
-    WrongK,
-)
-from .matrices import SFLIP, Mat, imat, inv2, rat
+from .errors import InternalInconsistency, NonIntegralSlope, ValidationError, WrongK
+from .matrices import SFLIP, Mat, imat, inv2
 from .selling import (
     DEFAULT_CAP,
     DumbbellFamily,
@@ -71,14 +66,11 @@ class PeriodMatrix:
     kind: str  # "theta" | "dumbbell"
 
 
-def period_matrix(curve, bridge=None) -> PeriodMatrix:
+def period_matrix(curve) -> PeriodMatrix:
     """Period matrix of the curve in its cycle basis.
 
-    For a dumbbell the result is independent of the bridge length; a bridge
-    value, if given, is only validated (it must be a nonnegative rational).
+    For a dumbbell the result does not depend on the bridge length.
     """
-    if bridge is not None and rat(bridge) < 0:
-        raise NonPositiveLength(f"bridge length must be >= 0, got {bridge}")
     if isinstance(curve, ThetaCurve):
         q = Mat(((curve.le + curve.le2, curve.le2),
                  (curve.le2, curve.le1 + curve.le2)))
@@ -86,29 +78,22 @@ def period_matrix(curve, bridge=None) -> PeriodMatrix:
     if isinstance(curve, DumbbellFamily):
         q = Mat(((curve.lc1, 0), (0, curve.lc2)))
         return PeriodMatrix(q=q, kind="dumbbell")
-    raise TypeError(f"not a curve: {curve!r}")
+    raise ValidationError(f"not a curve: {curve!r}")
 
 
-def _boundary_witness(sd: SplittingData):
+def boundary_witness(sd: SplittingData):
+    """Dumbbell witness for k = 1 or k = d - 1; any other k raises WrongK.
+
+    The witness is the alpha in 1..d-1 with alpha*l = (d - alpha)*lp, or None
+    when there is none.  The curve is a dumbbell exactly when it exists.
+    """
+    if sd.k not in (1, sd.d - 1):
+        raise WrongK(f"witness requires k = 1 or k = d-1, got d = {sd.d}, k = {sd.k}")
     # alpha * l == (d - alpha) * lp  <=>  alpha = d * lp / (lp + l)
     alpha = (sd.d * sd.lp) / (sd.lp + sd.l)
     if alpha.denominator == 1 and 1 <= alpha <= sd.d - 1:
         return int(alpha)
     return None
-
-
-def boundary_test_k1(sd: SplittingData):
-    """Dumbbell witness for k = 1: the alpha in 1..d-1 with alpha*l = (d-alpha)*lp."""
-    if sd.k != 1:
-        raise WrongK(f"test requires k = 1, got k = {sd.k}")
-    return _boundary_witness(sd)
-
-
-def boundary_test_kd1(sd: SplittingData):
-    """Dumbbell witness for k = d-1 (d >= 3): beta in 1..d-1 with beta*l = (d-beta)*lp."""
-    if sd.d < 3 or sd.k != sd.d - 1:
-        raise WrongK(f"test requires d >= 3 and k = d-1, got d = {sd.d}, k = {sd.k}")
-    return _boundary_witness(sd)
 
 
 @dataclass(frozen=True)

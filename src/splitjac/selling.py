@@ -191,7 +191,7 @@ def _stabilizer() -> tuple:
         raise InternalInconsistency(f"expected 6 effective classes, got {len(classes)}")
     out = []
     for rows in sorted(classes):
-        x = Mat.of(rows)
+        x = Mat(rows)
         image = [_SIGMA_RAYS.index(congruence_act(x, e)) for e in _SIGMA_RAYS]
         out.append((x, tuple(image.index(j) for j in range(3))))
     return tuple(out)
@@ -280,7 +280,7 @@ def classify_curve(q: Mat):
     else:
         remap, lengths = imat(1, -1, 0, -1), (l3, l2)
     diag = congruence_act(remap, q)
-    if diag != Mat.of(((lengths[0], 0), (0, lengths[1]))):
+    if diag != Mat(((lengths[0], 0), (0, lengths[1]))):
         raise InternalInconsistency(
             f"dumbbell remap gave {diag.rows}, expected diag{lengths}")
     return DumbbellFamily(lc1=lengths[0], lc2=lengths[1])

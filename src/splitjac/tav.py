@@ -34,7 +34,6 @@ from .errors import (
     ImageConditionViolated,
     IncompatibleMorphism,
     InternalInconsistency,
-    NonIntegralAdjoint,
     NonPositiveLength,
     NotIsogeny,
     NotPositiveDefinite,
@@ -323,10 +322,6 @@ def adjoint(f: TavMorphism, z1: Mat, z2: Mat) -> TavMorphism:
     if not is_principal(z2):
         raise NotPrincipal(f"target polarization type {polarization_type(z2)}")
     z1, z2 = z1.to_int(), z2.to_int()
-    z1_inv = adjugate(z1).scale(z1.det())  # det(z1) = +-1, as z1 is principal
-    msharp_adj = z2 @ f.mflat @ z1_inv
-    mflat_adj = z1_inv @ f.msharp @ z2
-    if not (msharp_adj.is_integral() and mflat_adj.is_integral()):
-        raise NonIntegralAdjoint(
-            f"adjoint matrices not integral: {msharp_adj.rows}, {mflat_adj.rows}")
-    return TavMorphism(f.target, f.source, msharp_adj, mflat_adj)
+    # det(z1) = +-1, as z1 is principal, so the inverse and both adjoint maps are int Mats
+    z1_inv = adjugate(z1).scale(z1.det())
+    return TavMorphism(f.target, f.source, z2 @ f.mflat @ z1_inv, z1_inv @ f.msharp @ z2)

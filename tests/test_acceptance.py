@@ -21,7 +21,7 @@ from splitjac import (
     Mat,
     SplittingData,
     ThetaCurve,
-    boundary_test_k1,
+    boundary_witness,
     build_covers,
     build_diagram,
     build_fan,
@@ -324,7 +324,7 @@ def test_06_boundary_witness_grid():
         for lp in lengths:
             for l in lengths:
                 sd = SplittingData(d=d, k=1, lp=lp, l=l)
-                witness = boundary_test_k1(sd)
+                witness = boundary_witness(sd)
                 dumbbell = isinstance(torelli_preimage(sd).curve, DumbbellFamily)
                 if (witness is not None) != dumbbell:
                     disagreements += 1

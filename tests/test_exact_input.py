@@ -12,7 +12,6 @@ import pytest
 from splitjac.errors import ValidationError
 from splitjac.locus import LinForm
 from splitjac.matrices import Mat, imat, inv2, qmat, rat, rat_str, snf2
-from splitjac.reconstruct import period_matrix
 from splitjac.selling import (
     DumbbellFamily,
     ThetaCurve,
@@ -40,12 +39,10 @@ FLOAT_INPUTS = {
     "qmat": lambda: qmat(1, 0.5, 0, 1),
     "rat_str": lambda: rat_str(0.5),
     "Mat": lambda: Mat(((2.0, 0), (0, 1))),
-    "Mat.of": lambda: Mat.of([[1, 0], [0, 0.25]]),
     "LinForm": lambda: LinForm(0.1, 0),
     "LinForm * float": lambda: LinForm(1, 0) * 0.5,
     "ThetaCurve": lambda: ThetaCurve(1, 2, 0.5),
     "DumbbellFamily": lambda: DumbbellFamily(1.5, 2),
-    "period_matrix bridge": lambda: period_matrix(DumbbellFamily(1, 2), bridge=0.5),
     "SplittingData": lambda: SplittingData(18, 7, 3.0, 1),
     "circle": lambda: circle(1.5),
     "Tav": lambda: Tav(Mat(((0.5,),))),
@@ -85,15 +82,11 @@ EXACT_INPUTS = {
     "rat_str Fraction": (lambda: rat_str(F(-5, 9)), "-5/9"),
     "rat_str string": (lambda: rat_str("6/4"), "3/2"),
     "Mat": (lambda: Mat(((1, F(1, 2)), (0, 1))).rows, ((1, F(1, 2)), (0, 1))),
-    "Mat.of": (lambda: Mat.of([[1, F(1, 2)], [0, 1]]).rows, ((1, F(1, 2)), (0, 1))),
     "LinForm": (lambda: LinForm(1, "1/2"), LinForm(F(1), F(1, 2))),
     "LinForm * int": (lambda: LinForm(1, F(1, 3)) * 3, LinForm(3, 1)),
     "LinForm * Fraction": (lambda: LinForm(1, 0) * F(1, 2), LinForm(F(1, 2), 0)),
     "ThetaCurve": (lambda: ThetaCurve(1, "1/2", F(1, 3)), ThetaCurve(F(1), F(1, 2), F(1, 3))),
     "DumbbellFamily": (lambda: DumbbellFamily("1/2", 3), DumbbellFamily(F(1, 2), F(3))),
-    "period_matrix bridge": (
-        lambda: [period_matrix(DumbbellFamily(1, 2), bridge=b).q for b in (0, F(1, 2), "3/2")],
-        [Mat(((1, 0), (0, 2)))] * 3),
     "SplittingData": (lambda: SplittingData(18, 7, "3", F(1)), SplittingData(18, 7, F(3), F(1))),
     "circle": (lambda: circle("1/2").pairing.rows, ((F(1, 2),),)),
     "Tav": (lambda: Tav(Mat(((1, 0), (0, F(1, 2)))), Mat.identity(2)).gram,

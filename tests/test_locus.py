@@ -30,7 +30,7 @@ from splitjac.locus import (
     image_key,
     qpp_symbolic,
 )
-from splitjac.matrices import Mat
+from splitjac.matrices import Mat, cleared
 from splitjac.reconstruct import torelli_preimage
 from splitjac.selling import (
     DEFAULT_CAP,
@@ -241,8 +241,23 @@ def test_linform_algebra():
     assert f.kernel_direction() == (1, 2)
     assert LinForm(1, 1).kernel_direction() is None
     assert LinForm(0, 0).is_zero()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="zero form"):
         LinForm(0, 0).primitive()
+
+
+def oracle_cleared(vals) -> tuple:
+    """m * vals for the least m > 0 that makes every entry of an int or Fraction vector an int."""
+    m = lcm(*(v.denominator for v in vals))
+    return tuple(v.numerator * (m // v.denominator) for v in vals)
+
+
+@given(st.lists(st.one_of(st.integers(min_value=-50, max_value=50), rationals()),
+                min_size=1, max_size=6))
+def test_cleared_matches_the_oracle(vals):
+    ints, den = cleared(vals)
+    assert ints == oracle_cleared(vals)
+    assert all(type(x) is int for x in ints)
+    assert den == lcm(*(Fraction(v).denominator for v in vals))
 
 
 def test_linform_keeps_int_and_fraction_coefficients():
@@ -320,7 +335,7 @@ def test_fan_d2_golden():
 
 
 def test_boundary_rays_d3_k1_golden():
-    rays = boundary_rays(3, 1)
+    rays = boundary_rays(build_fan(3, 1))
     assert set(rays) == {(("T1",), LinForm(-1, 2)), ((), LinForm(-2, 1))}
 
 
@@ -339,7 +354,7 @@ def test_edge_k_fan_structure(d, k_of_d):
     # (a, d-a), a = 1..d-1; for even d the middle one collapses to (1, 1)
     expected = {(a // gcd(a, d), (d - a) // gcd(a, d)) for a in range(1, d)}
     assert set(ray_seq[1:-1]) == expected
-    forms = {f for _, f in boundary_rays(d, k, fan=fan)}
+    forms = {f for _, f in boundary_rays(fan)}
     assert forms == {LinForm(a - d, a).primitive() for a in range(1, d)}
 
 
@@ -528,7 +543,7 @@ def test_ray_points_reconstruct_matching_dumbbells(d, data, t):
        positive_rationals(max_num=12, max_den=4))
 def test_boundary_rays_flag_dumbbells(d, lp, l):
     fan = build_fan(d, 1)
-    on_ray = any(f.evaluate(lp, l) == 0 for _, f in boundary_rays(d, 1, fan=fan))
+    on_ray = any(f.evaluate(lp, l) == 0 for _, f in boundary_rays(fan))
     qred, _ = selling_reduce(qpp(SplittingData(d=d, k=1, lp=lp, l=l)))
     degenerate = 0 in sigma_coords(qred)
     assert on_ray == degenerate

@@ -58,12 +58,12 @@ def test_mat_and_mat_of_reject_empty_and_ragged_rows(rows):
     with pytest.raises(ValidationError):
         Mat(rows)
     with pytest.raises(ValidationError):
-        Mat.of(rows)
+        Mat(iter(map(iter, rows)))
 
 
 def test_mat_normalizes_its_rows_to_tuples():
     assert Mat([[1, 2], [3, 4]]).rows == ((1, 2), (3, 4))
-    assert Mat.of(iter([iter([1]), iter([2])])).rows == ((1,), (2,))
+    assert Mat(iter([iter([1]), iter([2])])).rows == ((1,), (2,))
 
 
 # The generic implementations the fast paths replaced, kept as oracles.
@@ -169,8 +169,15 @@ def test_matmul_makes_the_oracles_calls_in_the_oracles_order(shapes):
 
 @pytest.mark.parametrize("y", [Mat(((1, 2, 3),)), Mat(((1,), (2,), (3,))), Mat(((1,),))])
 def test_matmul_rejects_mismatched_shapes(y):
-    with pytest.raises(ValueError, match="shape mismatch"):
+    with pytest.raises(ValidationError, match="shape mismatch"):
         imat(1, 2, 3, 4) @ y
+
+
+def test_add_and_trace_reject_mismatched_shapes():
+    with pytest.raises(ValidationError, match="shape mismatch"):
+        imat(1, 2, 3, 4) + Mat(((1, 2),))
+    with pytest.raises(ValidationError, match="non-square"):
+        Mat(((1, 2),)).trace()
 
 
 @given(st.tuples(st.sampled_from((1, 2)), st.sampled_from((1, 2, 3))).flatmap(
@@ -178,7 +185,7 @@ def test_matmul_rejects_mismatched_shapes(y):
                                     min_size=shape[1], max_size=shape[1]),
                            min_size=shape[0], max_size=shape[0])))
 def test_is_integral_and_to_int_match_the_oracle(rows):
-    x = Mat.of(rows)
+    x = Mat(rows)
     assert x.is_integral() == oracle_is_integral(x)
     if x.is_integral():
         as_int = x.to_int()

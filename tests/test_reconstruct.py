@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given
 
 from conftest import splitting_data
-from splitjac.errors import NonPositiveLength, WrongK
+from splitjac.errors import ValidationError, WrongK
 from splitjac.matrices import Mat, congruence_act, imat, qmat
 from splitjac.reconstruct import (
-    boundary_test_k1,
-    boundary_test_kd1,
+    boundary_witness,
     build_covers,
     period_matrix,
     torelli_preimage,
@@ -97,31 +96,26 @@ def test_torelli_properties(sd):
         assert trace.curve == ThetaCurve(*sigma_coords(trace.qtilde))
 
 
-def test_period_matrix_bridge_validation():
-    curve = DumbbellFamily(1, 2)
-    assert period_matrix(curve, bridge=7).q == period_matrix(curve).q
-    assert period_matrix(curve, bridge=0).q == period_matrix(curve).q
-    with pytest.raises(NonPositiveLength):
-        period_matrix(curve, bridge=-1)
-    with pytest.raises(TypeError):
+def test_period_matrix_rejects_a_non_curve():
+    with pytest.raises(ValidationError, match="not a curve"):
         period_matrix("not a curve")
 
 
 def test_boundary_tests_goldens():
-    assert boundary_test_k1(SplittingData(d=16, k=1, lp=3, l=5)) == 6
-    assert boundary_test_k1(SplittingData(d=24, k=1, lp=3, l=5)) == 9
-    assert boundary_test_k1(SplittingData(d=2, k=1, lp=1, l=3)) is None
-    assert boundary_test_kd1(SplittingData(d=3, k=2, lp=1, l=2)) == 1
-    assert boundary_test_kd1(SplittingData(d=3, k=2, lp=1, l=1)) is None
+    assert boundary_witness(SplittingData(d=16, k=1, lp=3, l=5)) == 6
+    assert boundary_witness(SplittingData(d=24, k=1, lp=3, l=5)) == 9
+    assert boundary_witness(SplittingData(d=2, k=1, lp=1, l=3)) is None
+    assert boundary_witness(SplittingData(d=3, k=2, lp=1, l=2)) == 1
+    assert boundary_witness(SplittingData(d=3, k=2, lp=1, l=1)) is None
 
 
 def test_boundary_tests_wrong_k():
-    with pytest.raises(WrongK):
-        boundary_test_k1(SplittingData(d=3, k=2, lp=1, l=1))
-    with pytest.raises(WrongK):
-        boundary_test_kd1(SplittingData(d=2, k=1, lp=1, l=1))
-    with pytest.raises(WrongK):
-        boundary_test_kd1(SplittingData(d=5, k=2, lp=1, l=1))
+    # (3, 2) has k = d - 1 and (2, 1) has k = 1 = d - 1, so both are accepted
+    assert boundary_witness(SplittingData(d=3, k=2, lp=1, l=1)) is None
+    assert boundary_witness(SplittingData(d=2, k=1, lp=1, l=1)) == 1
+    for d, k in ((5, 2), (7, 3)):
+        with pytest.raises(WrongK):
+            boundary_witness(SplittingData(d=d, k=k, lp=1, l=1))
 
 
 def test_boundary_witness_kd1_matches_curve_type():
@@ -133,7 +127,7 @@ def test_boundary_witness_kd1_matches_curve_type():
             for l in lengths:
                 sd = SplittingData(d=d, k=d - 1, lp=lp, l=l)
                 dumbbell = isinstance(torelli_preimage(sd).curve, DumbbellFamily)
-                assert (boundary_test_kd1(sd) is not None) == dumbbell, sd
+                assert (boundary_witness(sd) is not None) == dumbbell, sd
                 dumbbells += dumbbell
     assert dumbbells > 0
 

@@ -16,7 +16,6 @@ from splitjac.errors import (
     ImageConditionViolated,
     IncompatibleMorphism,
     InternalInconsistency,
-    NonIntegralAdjoint,
     NonPositiveLength,
     NotIsogeny,
     NotPositiveDefinite,
@@ -350,7 +349,7 @@ def oracle_adjoint(f, z1, z2):
     msharp_adj = z2 @ f.mflat @ z1_inv
     mflat_adj = z1_inv @ f.msharp @ z2
     if not (msharp_adj.is_integral() and mflat_adj.is_integral()):
-        raise NonIntegralAdjoint(
+        raise InternalInconsistency(
             f"adjoint matrices not integral: {msharp_adj.rows}, {mflat_adj.rows}")
     return oracle_morphism(f.target, f.source, msharp_adj, mflat_adj)
 
