@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Compare the length-space images of the split-locus fans across k.
 
-For a fixed degree d there is one fan per residue k coprime to d, and the
-complementary residues k and d - k produce mirror fans of each other.
+For a fixed degree d there is one fan per residue k coprime to d.  The
+residues k and d - k give fans with the same rays (only the words differ),
+and k^-1 mod d gives the mirror fan: (lp, l) swapped, cones in reverse order.
 Whether *all* the fans of one degree share the same image in curve space
 is an open question.  This experiment computes one canonical image key per
 residue (image_key), derives every pairwise verdict from key equality, and

@@ -102,9 +102,16 @@ def _load_input(path: str) -> dict:
         raise ValidationError(f"cannot read JSON input: {exc}") from exc
 
 
-def _morphism_from_input(data: dict) -> TavMorphism:
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _morphism_from_input(data) -> TavMorphism:
+    _object(data, "input")
     try:
-        src, tgt = data["source"], data["target"]
+        src, tgt = _object(data["source"], "'source'"), _object(data["target"], "'target'")
         source = Tav(_mat_from_strs(src["pairing"]),
                      _mat_from_strs(src["polarization"]) if "polarization" in src else None)
         target = Tav(_mat_from_strs(tgt["pairing"]),

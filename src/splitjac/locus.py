@@ -11,7 +11,8 @@ rays, and the symbolic edge-length map phi_sigma (the sigma coordinates of
 the reduced form as linear forms).  The module also compares the images of
 two such fans inside the length space of genus-2 curves up to relabeling of
 the three coordinates, through a canonical form of each image: its maximal
-arcs in each plane (image_key).
+arcs in each plane (image_key).  The key takes one plane normal per image
+cone; a relabeling p sends it to sign(p) times its relabeled entries.
 
 The coefficients of the period form have denominator d, so the fan is
 computed on d times the form, whose linear forms have int coefficients;
@@ -26,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import permutations
 from math import gcd
 
 from .errors import ConeCapExceeded, InternalInconsistency, ValidationError
@@ -165,17 +165,17 @@ def _prefix_forms(triple, runs) -> tuple:
 def _certify_fan(fired, terminals, rays) -> None:
     """Certify that cone m is {fired[:m] > 0, terminals[m] > 0}, m = N .. 0.
 
-    Each decision form is positive at (1, 0) and vanishes on a ray of the
-    open quadrant, and the rays turn strictly counterclockwise, so fired[i]
-    is positive on the cones before its own ray.  Each cone's terminal forms
-    are nonnegative at both of its rays and positive at their sum, hence
-    positive on the open cone.  On the open cone m the reduction therefore
-    fires exactly the first m moves and stops.
+    Each decision form fired[i] is positive at (1, 0) and vanishes on its
+    own ray rays[N - i], which lies in the open quadrant, and the rays turn
+    strictly counterclockwise, so fired[i] is positive on the cones before
+    its ray.  Each cone's terminal forms are nonnegative at both of its rays
+    and positive at their sum, hence positive on the open cone.  On the open
+    cone m the reduction therefore fires exactly the first m moves and stops.
     """
-    for f in fired:
-        r = f.kernel_direction()
-        if not (f.evaluate(1, 0) > 0 and r is not None and r[0] > 0 and r[1] > 0):
-            raise InternalInconsistency(f"decision form {f} does not cut the open quadrant")
+    for f, r in zip(fired, reversed(rays[1:-1])):
+        if not (f.evaluate(1, 0) > 0 and r is not None and r[0] > 0 and r[1] > 0
+                and f.evaluate(*r) == 0):
+            raise InternalInconsistency(f"decision form {f} does not vanish on its ray {r}")
     for terminal, lo, hi in zip(reversed(terminals), rays, rays[1:]):
         if lo[0] * hi[1] - lo[1] * hi[0] <= 0:
             raise InternalInconsistency(f"rays {lo}, {hi} do not turn counterclockwise")
@@ -248,14 +248,6 @@ def _turn(u, v, n):
     return c[0] * n[0] + c[1] * n[1] + c[2] * n[2]
 
 
-def _plane_normal(v1, v2) -> tuple:
-    c = _cross3(v1, v2)
-    if c == (0, 0, 0):
-        raise InternalInconsistency(f"degenerate image cone: {v1}, {v2}")
-    n = _primitive(c)
-    return n if n > (0, 0, 0) else tuple(-y for y in n)  # first nonzero entry positive
-
-
 def image_cones(fan: FanDelta) -> tuple:
     """Per maximal cone, the image cone in length space: a generator pair.
 
@@ -275,40 +267,54 @@ def image_cones(fan: FanDelta) -> tuple:
             if any(v < 0 for v in vals):
                 raise InternalInconsistency(f"image of ray {(x, y)} leaves the positive octant")
             vecs.append(_primitive(vals))
-        _plane_normal(vecs[0], vecs[1])  # raises if the image degenerates to a line
+        if _cross3(vecs[0], vecs[1]) == (0, 0, 0):
+            raise InternalInconsistency(f"degenerate image cone: {vecs[0]}, {vecs[1]}")
         out.append((vecs[0], vecs[1]))
     return tuple(out)
 
 
-def _relabelings(v1, v2):
-    """The six relabelings of a generator pair, each pair sorted."""
-    for perm in permutations(range(3)):
-        w1, w2 = tuple(v1[i] for i in perm), tuple(v2[i] for i in perm)
-        yield (w1, w2) if w1 <= w2 else (w2, w1)
+# The six relabelings p of the coordinates with their signs: relabeling both
+# factors by p maps u x v to sign(p) * p(u x v).
+_RELABELINGS = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                ((0, 2, 1), -1), ((1, 0, 2), -1), ((2, 1, 0), -1))
 
 
-def _saturate(cones) -> set:
-    return {pair for cone in cones for pair in _relabelings(*cone)}
+def _sectors(v1, v2):
+    """(plane normal, first ray, last ray) of every relabeling of an image cone.
+
+    One primitive normal is relabeled; where that leaves its first nonzero
+    entry negative it is negated and the rays swap, so first x last stays a
+    positive multiple of the normal.
+    """
+    n = _primitive(_cross3(v1, v2))
+    for (i, j, k), sign in _RELABELINGS:
+        m = (sign * n[i], sign * n[j], sign * n[k])
+        w1, w2 = (v1[i], v1[j], v1[k]), (v2[i], v2[j], v2[k])
+        if m > (0, 0, 0):
+            yield m, w1, w2
+        else:
+            yield (-m[0], -m[1], -m[2]), w2, w1
 
 
 def canonical_image(v1, v2) -> tuple:
     """Lexicographically minimal relabeling of an image cone's generator pair."""
-    return min(_relabelings(v1, v2))
+    return min(tuple(sorted(((v1[i], v1[j], v1[k]), (v2[i], v2[j], v2[k]))))
+               for (i, j, k), _ in _RELABELINGS)
 
 
-def _arcs(cones) -> dict:
-    """Canonical form of a union of image cones: {plane normal: its maximal arcs}.
+def _arcs(sectors) -> dict:
+    """Canonical form of a union of sectors: {plane normal: its maximal arcs}.
 
-    The rays of the positive octant in one plane are totally ordered by the
-    turn order about its normal, so the union in each plane is a unique
-    sorted tuple of disjoint, non-touching arcs (first ray, last ray).
+    A sector is (normal, first ray, last ray), as _sectors yields it.  The
+    rays of the positive octant in one plane are totally ordered by the turn
+    order about its normal, so the union in each plane is a unique sorted
+    tuple of disjoint, non-touching arcs (first ray, last ray).
     """
-    sectors = {}
-    for v1, v2 in cones:
-        n = _plane_normal(v1, v2)
-        sectors.setdefault(n, []).append((v1, v2) if _turn(v1, v2, n) > 0 else (v2, v1))
+    planes = {}
+    for n, lo, hi in sectors:
+        planes.setdefault(n, []).append((lo, hi))
     out = {}
-    for n, group in sectors.items():
+    for n, group in planes.items():
         group.sort(key=cmp_to_key(lambda s, t: _turn(t[0], s[0], n)))
         arcs = [list(group[0])]
         for lo, hi in group[1:]:
@@ -321,7 +327,7 @@ def _arcs(cones) -> dict:
 
 
 def _key(cones) -> tuple:
-    return tuple(sorted(_arcs(_saturate(cones)).items()))
+    return tuple(sorted(_arcs(s for cone in cones for s in _sectors(*cone)).items()))
 
 
 def image_key(fan: FanDelta) -> tuple:

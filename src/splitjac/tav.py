@@ -123,13 +123,6 @@ class Tav:
     def is_principally_polarized(self) -> bool:
         return self.polarization is not None and is_principal(self.polarization)
 
-    def with_polarization(self, z: Mat) -> "Tav":
-        return Tav(self.pairing, z)
-
-    def dual(self) -> "Tav":
-        """Dual variety: the two lattices swap roles, pairing transposes."""
-        return Tav(self.pairing.T, None)
-
 
 def circle(length) -> Tav:
     """Tropical elliptic curve: a circle of the given circumference (rank 1)."""
@@ -228,11 +221,6 @@ def compose(g: TavMorphism, f: TavMorphism) -> TavMorphism:
     if f.target != g.source:
         raise ValidationError("composition mismatch: f.target != g.source")
     return TavMorphism(f.source, g.target, f.msharp @ g.msharp, g.mflat @ f.mflat)
-
-
-def dual_morphism(f: TavMorphism) -> TavMorphism:
-    """Dual morphism between the dual varieties; swaps the two matrices."""
-    return TavMorphism(f.target.dual(), f.source.dual(), f.mflat, f.msharp)
 
 
 def classify(f: TavMorphism) -> MorphismClass:

@@ -168,6 +168,21 @@ def test_mumford_missing_field(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["mumford", "adjoint"])
+@pytest.mark.parametrize("payload,message", [
+    ([], "input must be a JSON object, got list"),
+    ("morphism", "input must be a JSON object, got str"),
+    (dict(MORPHISM_INPUT, source=1), "'source' must be a JSON object, got int"),
+    (dict(MORPHISM_INPUT, target=[["1"]]), "'target' must be a JSON object, got list"),
+], ids=["list", "string", "int-source", "list-target"])
+def test_malformed_morphism_input_is_a_validation_error(capsys, monkeypatch, command,
+                                                        payload, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    code, out, err = run_cli(capsys, command, "--input", "-")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ValidationError", "message": message}
+
+
+@pytest.mark.parametrize("command", ["mumford", "adjoint"])
 def test_indefinite_z1_is_a_domain_error(capsys, tmp_path, command):
     payload = dict(MORPHISM_INPUT, z1=[["1", "0"], ["0", "-3"]], z2=[["1", "0"], ["0", "1"]])
     path = tmp_path / "indefinite.json"

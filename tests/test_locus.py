@@ -1,5 +1,6 @@
 """Symbolic reduction fans and image comparison in length space."""
 
+import hashlib
 import importlib.util
 from fractions import Fraction
 from functools import cmp_to_key
@@ -42,9 +43,10 @@ from splitjac.selling import (
 from splitjac.splitting import SplittingData, qpp
 
 
-# --- oracles: build_fan and image_cones on Fraction coefficients, a
-# cone-by-cone sampling walk of the quadrant, and a compare_images that
-# scans the whole pool for every cone ---
+# --- oracles: build_fan and image_cones on Fraction coefficients, the image
+# key with one plane normal per relabeled cone, a cone-by-cone sampling walk
+# of the quadrant, and a compare_images that scans the whole pool for every
+# cone ---
 
 def oracle_build_fan(d, k):
     """build_fan on qpp_symbolic itself, whose coefficients have denominator d."""
@@ -74,6 +76,53 @@ def oracle_image_cones(fan):
                                                  for f in cone.phi_sigma))
                        for x, y in cone.rays)
                  for cone in fan.cones)
+
+
+def _plane_normal(v1, v2) -> tuple:
+    c = locus._cross3(v1, v2)
+    if c == (0, 0, 0):
+        raise InternalInconsistency(f"degenerate image cone: {v1}, {v2}")
+    n = locus._primitive(c)
+    return n if n > (0, 0, 0) else tuple(-y for y in n)  # first nonzero entry positive
+
+
+def _relabelings(v1, v2):
+    """The six relabelings of a generator pair, each pair sorted."""
+    for perm in permutations(range(3)):
+        w1, w2 = tuple(v1[i] for i in perm), tuple(v2[i] for i in perm)
+        yield (w1, w2) if w1 <= w2 else (w2, w1)
+
+
+def _saturate(cones) -> set:
+    return {pair for cone in cones for pair in _relabelings(*cone)}
+
+
+def oracle_arcs(cones) -> dict:
+    """{plane normal: maximal arcs} of a union of cones, each oriented by its own normal."""
+    sectors = {}
+    for v1, v2 in cones:
+        n = _plane_normal(v1, v2)
+        sectors.setdefault(n, []).append((v1, v2) if locus._turn(v1, v2, n) > 0 else (v2, v1))
+    out = {}
+    for n, group in sectors.items():
+        group.sort(key=cmp_to_key(lambda s, t: locus._turn(t[0], s[0], n)))
+        arcs = [list(group[0])]
+        for lo, hi in group[1:]:
+            if locus._turn(arcs[-1][1], lo, n) > 0:
+                arcs.append([lo, hi])
+            elif locus._turn(arcs[-1][1], hi, n) > 0:
+                arcs[-1][1] = hi
+        out[n] = tuple(map(tuple, arcs))
+    return out
+
+
+def oracle_key(cones) -> tuple:
+    """The image key from a plane normal computed for each relabeled cone."""
+    return tuple(sorted(oracle_arcs(_saturate(cones)).items()))
+
+
+def oracle_canonical_image(v1, v2) -> tuple:
+    return min(_relabelings(v1, v2))
 
 
 class DegenerateSample(SplitJacError):
@@ -189,10 +238,10 @@ def _solve_interval(v1, v2, w1, w2):
 
 def _pool_covered(cone, pool):
     v1, v2 = cone
-    n = locus._plane_normal(v1, v2)
+    n = _plane_normal(v1, v2)
     intervals = []
     for w1, w2 in pool:
-        if locus._plane_normal(w1, w2) != n:
+        if _plane_normal(w1, w2) != n:
             continue
         interval = _solve_interval(v1, v2, w1, w2)
         if interval is not None:
@@ -209,8 +258,8 @@ def _pool_covered(cone, pool):
 
 
 def pool_scan_equal(fan1, fan2):
-    sat1 = locus._saturate(image_cones(fan1))
-    sat2 = locus._saturate(image_cones(fan2))
+    sat1 = _saturate(image_cones(fan1))
+    sat2 = _saturate(image_cones(fan2))
     return (all(_pool_covered(c, sat2) for c in sat1)
             and all(_pool_covered(c, sat1) for c in sat2))
 
@@ -474,6 +523,37 @@ def test_certificate_rejects_mutated_fired_forms(monkeypatch, mutate):
         build_fan(41, 9)
 
 
+def test_fan_certificate_reuses_the_rays(monkeypatch):
+    calls = []
+    kernel_direction = LinForm.kernel_direction
+
+    def counted(self):
+        calls.append(self)
+        return kernel_direction(self)
+    monkeypatch.setattr(LinForm, "kernel_direction", counted)
+    fan = build_fan(40, 1)
+    assert len(calls) == len(fan.cones) - 1 == 39
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda fired, rays: (fired, rays[:3] + [rays[4], rays[3]] + rays[5:]),
+    lambda fired, rays: (fired, rays[:1] + rays[2:-1] + rays[1:2] + rays[-1:]),
+    lambda fired, rays: (fired, rays[:3] + [(rays[3][0] + 1, rays[3][1])] + rays[4:]),
+    lambda fired, rays: (fired, rays[:3] + [(2 * rays[3][0], 2 * rays[3][1] + 1)] + rays[4:]),
+    # the terminal forms still fit the rays; only the pairing of forms and rays breaks
+    lambda fired, rays: (fired[:2] + (fired[3], fired[2]) + fired[4:], rays),
+], ids=["swapped", "rotated", "shifted", "off-kernel", "swapped-forms"])
+def test_certificate_rejects_mutated_rays(monkeypatch, mutate):
+    certify = locus._certify_fan
+
+    def mutated(fired, terminals, rays):
+        fired, rays = mutate(fired, rays)
+        certify(fired, terminals, rays)
+    monkeypatch.setattr(locus, "_certify_fan", mutated)
+    with pytest.raises(InternalInconsistency):
+        build_fan(41, 9)
+
+
 def test_fan_walk_is_contiguous():
     for d, k in ((4, 3), (5, 2), (6, 5), (7, 3)):
         fan = build_fan(d, k)
@@ -565,21 +645,74 @@ def test_canonical_image_is_relabeling_invariant():
     assert canonical_image((0, 1, 0), (1, 0, 2)) == canonical_image(v1, v2)
 
 
+def _oriented(cones) -> list:
+    """(normal, first ray, last ray) of each cone, as locus._arcs takes them."""
+    out = []
+    for v1, v2 in cones:
+        n = _plane_normal(v1, v2)
+        out.append((n, v1, v2) if locus._turn(v1, v2, n) > 0 else (n, v2, v1))
+    return out
+
+
 def test_arcs_are_a_canonical_form_of_the_union():
     a, e, b, c = (1, 0, 0), (2, 1, 0), (1, 1, 0), (0, 1, 0)  # turn order about (0, 0, 1)
     x, z = (1, 0, 1), (0, 0, 1)  # a plane with normal (0, 1, 0)
+
+    def arcs(cones):
+        got = locus._arcs(_oriented(cones))
+        assert got == oracle_arcs(cones)
+        return got
     whole = {(0, 0, 1): ((a, c),)}
-    assert locus._arcs([(c, a)]) == whole
+    assert arcs([(c, a)]) == whole
     # split at interior rays, in every order, or with duplicates: the same arcs
     for cones in permutations([(a, e), (b, e), (c, b), (a, b)]):
-        assert locus._arcs(cones) == whole
-    assert locus._arcs([(a, c), (c, a), (b, e)]) == whole
+        assert arcs(cones) == whole
+    assert arcs([(a, c), (c, a), (b, e)]) == whole
     # overlapping and touching cones merge; disjoint cones stay separate
-    assert locus._arcs([(b, c), (a, b)]) == whole
-    assert locus._arcs([(e, c), (a, b)]) == whole
-    assert locus._arcs([(b, c), (a, e)]) == {(0, 0, 1): ((a, e), (b, c))}
-    assert locus._arcs([(z, x), (b, c), (a, x), (e, a)]) == {
+    assert arcs([(b, c), (a, b)]) == whole
+    assert arcs([(e, c), (a, b)]) == whole
+    assert arcs([(b, c), (a, e)]) == {(0, 0, 1): ((a, e), (b, c))}
+    assert arcs([(z, x), (b, c), (a, x), (e, a)]) == {
         (0, 0, 1): ((a, e), (b, c)), (0, 1, 0): ((z, a),)}
+
+
+def test_image_key_matches_the_oracle_for_every_fan_up_to_d_60():
+    # compare_images decides by _key and reports canonical_image per cone, so
+    # equal keys and canonical images give equal results for every pair
+    for d, k in coprime_pairs(60):
+        cones = image_cones(build_fan(d, k))
+        assert locus._key(cones) == oracle_key(cones), (d, k)
+        assert ([canonical_image(*c) for c in cones]
+                == [oracle_canonical_image(*c) for c in cones]), (d, k)
+
+
+def _octant_vector():
+    vec = st.tuples(*[st.integers(min_value=0, max_value=6)] * 3)
+    return vec.filter(any).map(locus._primitive)
+
+
+@given(st.lists(st.tuples(_octant_vector(), _octant_vector()), min_size=1, max_size=8))
+@example([((1, 1, 0), (0, 0, 1))])  # a plane that the transposition of 0 and 1 fixes
+@example([((1, 1, 0), (0, 0, 1)), ((0, 0, 1), (1, 1, 2)), ((2, 2, 1), (1, 1, 0))])
+@example([((1, 0, 1), (0, 1, 0)), ((1, 1, 1), (1, 0, 0))])  # each fixed by a transposition
+@example([((1, 2, 3), (3, 2, 1)), ((1, 1, 1), (1, 0, 0))])
+def test_image_key_matches_the_oracle_on_octant_unions(cones):
+    assume(all(locus._cross3(v1, v2) != (0, 0, 0) for v1, v2 in cones))
+    assert locus._key(cones) == oracle_key(cones)
+    assert [canonical_image(*c) for c in cones] == [oracle_canonical_image(*c) for c in cones]
+
+
+def test_image_key_takes_one_plane_normal_per_cone(monkeypatch):
+    cones = image_cones(build_fan(41, 9))
+    calls = []
+    primitive = locus._primitive
+
+    def counted(ints):
+        calls.append(ints)
+        return primitive(ints)
+    monkeypatch.setattr(locus, "_primitive", counted)
+    locus._key(cones)
+    assert len(calls) == len(cones)
 
 
 def test_compare_images_d3_golden():
@@ -616,15 +749,26 @@ def test_compare_images_matches_pool_scan():
         assert len(set(keys.values())) == len(orbits), d
 
 
-def test_fan_image_experiment_smoke(capsys):
+def _load_experiment():
     path = Path(__file__).resolve().parent.parent / "scripts" / "fan_image_experiment.py"
     spec = importlib.util.spec_from_file_location("fan_image_experiment", path)
     experiment = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(experiment)
-    assert experiment.main(["--min-d", "2", "--max-d", "12"]) == 0
+    return experiment
+
+
+def test_fan_image_experiment_smoke(capsys):
+    assert _load_experiment().main(["--min-d", "2", "--max-d", "12"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-2] == "pairs compared: 102, images equal: 38, different: 64"
     assert lines[-1] == "pairs against the rule k2 = +-k1^(+-1) mod d: 0"
+
+
+def test_fan_image_experiment_output_is_pinned(capsys):
+    assert _load_experiment().main(["--min-d", "2", "--max-d", "40", "--show-images"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e378224b65d042e09c5a386ee571b484e5698a0499f261166c93dd29b8a759f0")
 
 
 @pytest.mark.parametrize("d", range(3, 7))

@@ -124,7 +124,7 @@ def oracle_build_jpp(sd):
     if polarization_type(zeta) != (1, d):
         raise InternalInconsistency(f"induced polarization type {polarization_type(zeta)}")
 
-    gram = quotient.with_polarization(zeta).gram
+    gram = Tav(quotient.pairing, zeta).gram
     if gram != qpp_raw(sd):
         raise InternalInconsistency(f"Gram matrix {gram.rows} != period form")
     jpp = Tav(gram, Mat.identity(2))

@@ -36,7 +36,6 @@ from splitjac.tav import (
     classify,
     compose,
     direct_sum,
-    dual_morphism,
     identity_morphism,
     induce_polarization,
     is_principal,
@@ -249,15 +248,6 @@ def inv_unimodular(u: Mat) -> Mat:
     d = u.det()
     assert abs(d) == 1
     return imat(u[1, 1] * d, -u[0, 1] * d, -u[1, 0] * d, u[0, 0] * d)
-
-
-@given(pd_forms())
-def test_dual_morphism_involution(p):
-    t = Tav(p, EYE)
-    f = multiplication(t, 3)
-    dd = dual_morphism(dual_morphism(f))
-    assert dd.msharp == f.msharp and dd.mflat == f.mflat
-    assert dd.source.pairing == f.source.pairing
 
 
 @given(pd_forms(), st.integers(min_value=1, max_value=5))
