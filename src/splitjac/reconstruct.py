@@ -12,16 +12,22 @@ lists cycle coefficients of the edges (theta graph: edges e from P0 to P1 and
 e1, e2 from P1 to P0, cycle basis (e+e2, e2-e1); dumbbell: the two loops, the
 bridge is contracted).  Slopes are integers w.r.t. each edge's orientation;
 row 1 covers the first circle (length lp), row 2 the second (length l).
+
+The covers are read and certified on integers: Z is checked to have
+determinant +-1, so Z^{-1} = det(Z) * adjugate(Z) and the slopes are integer
+products.  Each cover's harmonicity, mass identity and generic fiber degree
+are checked on the numerators of its offsets and of its length / target
+length ratios over one denominator; only the outputs (lengths and offsets) and
+the error messages are Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import floor
 
 from .errors import InternalInconsistency, NonIntegralSlope, ValidationError, WrongK
-from .matrices import SFLIP, Mat, imat, inv2
+from .matrices import SFLIP, Mat, adjugate, cleared, imat, scaled
 from .selling import (
     DEFAULT_CAP,
     DumbbellFamily,
@@ -124,55 +130,58 @@ class CoverPair:
     to_second: Cover  # cover of the length-l circle
 
 
-def _count_points_open(a: Fraction, b: Fraction) -> int:
-    """Number of integers in the open interval (a, b), neither endpoint integral."""
-    if a.denominator == 1 or b.denominator == 1:
-        raise InternalInconsistency("generic point hit an edge endpoint")
-    return floor(b) - floor(a)
+_PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
 
 
-def _generic_fiber_degree(cover: Cover) -> int:
-    """Exact weighted fiber count over a generic rational point of the target."""
-    special = set()
-    for e in cover.edges:
-        special.add(e.offset % 1)
-        if e.length is not None:
-            special.add((e.offset + Fraction(e.slope) * e.length / cover.target_length) % 1)
-    point = None
-    for prime in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67):
-        cand = Fraction(1, prime)
-        if cand not in special:
-            point = cand
+def _generic_fiber_degree(slopes, offsets, ratios, den) -> int:
+    """Exact weighted fiber count over a generic point 1/p of the target R/Z.
+
+    Edge j starts at offsets[j] / den and ends slopes[j] * ratios[j] / den
+    further on; positions are compared in units of 1/(den * p).
+    """
+    ends = [o + s * r for s, o, r in zip(slopes, offsets, ratios)]
+    for p in _PRIMES:
+        m = den * p
+        if all((x * p - den) % m for x in (*offsets, *ends)):
             break
-    if point is None:
+    else:
         raise InternalInconsistency("no generic test point found")
+    # offset + slope * t / L == 1/p + j has t in (0, length) for the integers j
+    # strictly between the edge's start and end, neither of which is the point
     total = 0
-    for e in cover.edges:
-        if e.slope == 0 or e.length is None:
-            continue
-        # offset + slope * t / L == point + j has t in (0, length) exactly for
-        # integers j strictly between a0 and a1:
-        a0 = e.offset - point
-        a1 = a0 + Fraction(e.slope) * e.length / cover.target_length
-        npts = _count_points_open(min(a0, a1), max(a0, a1))
-        total += npts * abs(e.slope)
+    for s, o, e in zip(slopes, offsets, ends):
+        a0, a1 = o * p - den, e * p - den
+        total += (max(a0, a1) // m - min(a0, a1) // m) * abs(s)
     return total
 
 
 def _check_cover(cover: Cover, kind: str) -> None:
-    slopes = {e.edge: e.slope for e in cover.edges}
+    """Harmonicity, the mass identity and the generic fiber degree, on integers.
+
+    Every offset and every length / target_length is written over one
+    denominator den (the bridge, with no length, runs 0); the messages are
+    built from the rationals only on failure.
+    """
+    edges = cover.edges
+    slopes = {e.edge: e.slope for e in edges}
     if kind == "theta":
         balanced = slopes["e"] == slopes["e1"] + slopes["e2"]
     else:
         balanced = slopes["bridge"] == 0
     if not balanced:
         raise InternalInconsistency(f"cover not harmonic: slopes {slopes}")
-    mass = sum(Fraction(e.slope) ** 2 * e.length
-               for e in cover.edges if e.length is not None)
-    if mass != cover.degree * cover.target_length:
+    nums, n_den = cleared((cover.target_length, *(e.offset for e in edges),
+                           *(0 if e.length is None else e.length for e in edges)))
+    n = len(edges)
+    den = n_den * nums[0]  # length / target_length == n_length * n_den / den
+    offsets = [o * nums[0] for o in nums[1:n + 1]]
+    ratios = [r * n_den for r in nums[n + 1:]]
+    edge_slopes = [e.slope for e in edges]
+    if sum(s * s * r for s, r in zip(edge_slopes, ratios)) != cover.degree * den:
+        mass = sum(Fraction(e.slope) ** 2 * e.length for e in edges if e.length is not None)
         raise InternalInconsistency(
             f"mass identity failed: {mass} != {cover.degree} * {cover.target_length}")
-    fiber = _generic_fiber_degree(cover)
+    fiber = _generic_fiber_degree(edge_slopes, offsets, ratios, den)
     if fiber != cover.degree:
         raise InternalInconsistency(f"generic fiber degree {fiber} != {cover.degree}")
 
@@ -190,28 +199,26 @@ def build_covers(trace: PipelineTrace) -> CoverPair:
         names = ("e1", "e2", "bridge")
         lengths = (curve.lc1, curve.lc2, None)
         w = Mat(((1, 0, 0), (0, 1, 0)))
-    z = SFLIP @ trace.x @ SFLIP
+    x, den = scaled(trace.x)
+    z = SFLIP @ x @ SFLIP
+    det = z.det()
+    if den != 1 or det not in (1, -1):
+        raise NonIntegralSlope(f"change of basis is not unimodular: {trace.x.rows}")
+    # z^-1 == det z * adjugate(z), so the slopes are integers
     phi = imat(1, -sd.k, 0, sd.d)
-    slope_mat = phi.T @ inv2(z).T @ w
-    if not slope_mat.is_integral():
-        raise NonIntegralSlope(f"slope matrix not integral: {slope_mat.rows}")
-    slope_mat = slope_mat.to_int()
+    slope_mat = phi.T @ adjugate(z).scale(det).T @ w
 
     covers = []
-    for row, (label, target_len) in enumerate(
-            (("circle1", sd.lp), ("circle2", sd.l))):
-        slopes = [slope_mat[row, j] for j in range(3)]
-        edges = []
-        for j, name in enumerate(names):
-            if kind == "theta" and name in ("e1", "e2"):
-                # these edges start at P1, whose image is reached along e
-                offset = (Fraction(slopes[0]) * lengths[0] / target_len) % 1
-            else:
-                offset = Fraction(0)
-            edges.append(EdgeMap(edge=name, slope=slopes[j], offset=offset,
-                                 length=lengths[j]))
-        cover = Cover(target=label, target_length=target_len, degree=sd.d,
-                      edges=tuple(edges))
+    for label, slopes, target_len in zip(("circle1", "circle2"), slope_mat.rows,
+                                         (sd.lp, sd.l)):
+        offsets = [Fraction(0)] * 3
+        if kind == "theta":
+            # e1 and e2 start at P1, whose image is reached along e
+            (n_e, n_target), _ = cleared((lengths[0], target_len))
+            offsets[1] = offsets[2] = Fraction(slopes[0] * n_e % n_target, n_target)
+        edges = tuple(EdgeMap(edge=name, slope=slope, offset=offset, length=length)
+                      for name, slope, offset, length in zip(names, slopes, offsets, lengths))
+        cover = Cover(target=label, target_length=target_len, degree=sd.d, edges=edges)
         _check_cover(cover, kind)
         covers.append(cover)
     return CoverPair(to_first=covers[0], to_second=covers[1])

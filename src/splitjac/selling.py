@@ -29,7 +29,7 @@ from .errors import (
     PositiveQ12,
     ValidationError,
 )
-from .matrices import SFLIP, Mat, congruence_act, imat, is_positive_definite, rat
+from .matrices import SFLIP, Mat, congruence_act, imat, is_positive_definite, rat, scaled
 
 T1 = imat(1, 0, 1, 1)
 T2 = imat(1, 1, 0, 1)
@@ -158,7 +158,10 @@ def selling_reduce(q: Mat, cap: int = DEFAULT_CAP) -> tuple:
     (a, b, c), runs = reduce_triple(q[0, 0], q[0, 1], q[1, 1], cap=cap)
     cur = Mat(((a, b), (b, c)))
     word = ReductionWord(runs=tuple((move, n) for move, n, _ in runs))
-    if congruence_act(word.moves_matrix, q) != cur:
+    # on integers: X^T q X == cur iff X^T (den q) X == den cur, and for a
+    # unimodular X the lcm den of q's denominators is also cur's
+    n, den = scaled(q)
+    if scaled(cur) != (congruence_act(word.moves_matrix, n), den):
         raise InternalInconsistency("reduction word does not reproduce the form")
     return cur, word
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InternalInconsistency, NonPositiveLength, ValidationError
-from .matrices import SFLIP, Mat, col2, congruence_act, imat, inv2, rat, row2
+from .matrices import Mat, col2, imat, inv2, rat, row2
 from .tav import (
     Tav,
     TavMorphism,
@@ -71,7 +71,8 @@ def qpp_raw(sd: SplittingData) -> Mat:
 
 def qpp(sd: SplittingData) -> Mat:
     """Selling-ready form: `qpp_raw` with the off-diagonal sign flipped."""
-    q = congruence_act(SFLIP, qpp_raw(sd))
+    (a, b), (_, c) = qpp_raw(sd).rows
+    q = Mat(((a, -b), (-b, c)))
     if not (q[0, 1] < 0 and q.det() == sd.lp * sd.l):
         raise InternalInconsistency(f"qpp failed its shape checks: {q.rows}")
     return q

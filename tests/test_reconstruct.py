@@ -1,15 +1,34 @@
 """End-to-end curve reconstruction and the two certified harmonic covers."""
 
+import re
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
+from math import floor
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
-from conftest import splitting_data
-from splitjac.errors import ValidationError, WrongK
-from splitjac.matrices import Mat, congruence_act, imat, qmat
+import splitjac.matrices as matrices
+import splitjac.reconstruct as reconstruct
+import splitjac.selling as selling
+from conftest import positive_rationals, splitting_data
+from splitjac.errors import (
+    InternalInconsistency,
+    NonIntegralSlope,
+    SplitJacError,
+    ValidationError,
+    WrongK,
+)
+from splitjac.matrices import Mat, congruence_act, imat, inv2, qmat
 from splitjac.reconstruct import (
+    Cover,
+    CoverPair,
+    EdgeMap,
+    _check_cover,
     boundary_witness,
     build_covers,
     period_matrix,
@@ -187,3 +206,302 @@ def test_covers_properties(sd):
     # the two covers together map the curve's cycle lattice onto an index-d
     # sublattice of the product of circles
     assert abs(_cycle_slope_matrix(pair, kind).det()) == sd.d
+
+
+# --- the Fraction cover certificate, kept as the oracle of the integer one ---
+
+def oracle_count_points_open(a: Fraction, b: Fraction) -> int:
+    """Number of integers in the open interval (a, b), neither endpoint integral."""
+    if a.denominator == 1 or b.denominator == 1:
+        raise InternalInconsistency("generic point hit an edge endpoint")
+    return floor(b) - floor(a)
+
+
+def oracle_generic_fiber_degree(cover: Cover) -> int:
+    """Exact weighted fiber count over a generic rational point of the target."""
+    special = set()
+    for e in cover.edges:
+        special.add(e.offset % 1)
+        if e.length is not None:
+            special.add((e.offset + Fraction(e.slope) * e.length / cover.target_length) % 1)
+    point = None
+    for prime in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67):
+        cand = Fraction(1, prime)
+        if cand not in special:
+            point = cand
+            break
+    if point is None:
+        raise InternalInconsistency("no generic test point found")
+    total = 0
+    for e in cover.edges:
+        if e.slope == 0 or e.length is None:
+            continue
+        a0 = e.offset - point
+        a1 = a0 + Fraction(e.slope) * e.length / cover.target_length
+        npts = oracle_count_points_open(min(a0, a1), max(a0, a1))
+        total += npts * abs(e.slope)
+    return total
+
+
+def oracle_check_cover(cover: Cover, kind: str) -> None:
+    slopes = {e.edge: e.slope for e in cover.edges}
+    if kind == "theta":
+        balanced = slopes["e"] == slopes["e1"] + slopes["e2"]
+    else:
+        balanced = slopes["bridge"] == 0
+    if not balanced:
+        raise InternalInconsistency(f"cover not harmonic: slopes {slopes}")
+    mass = sum(Fraction(e.slope) ** 2 * e.length
+               for e in cover.edges if e.length is not None)
+    if mass != cover.degree * cover.target_length:
+        raise InternalInconsistency(
+            f"mass identity failed: {mass} != {cover.degree} * {cover.target_length}")
+    fiber = oracle_generic_fiber_degree(cover)
+    if fiber != cover.degree:
+        raise InternalInconsistency(f"generic fiber degree {fiber} != {cover.degree}")
+
+
+def oracle_slope_matrix(trace) -> Mat:
+    """The slopes by a Fraction inverse of z = S x S."""
+    sd = trace.sd
+    w = (Mat(((1, 0, 1), (0, -1, 1))) if isinstance(trace.curve, ThetaCurve)
+         else Mat(((1, 0, 0), (0, 1, 0))))
+    slope_mat = imat(1, -sd.k, 0, sd.d).T @ inv2(SFLIP @ trace.x @ SFLIP).T @ w
+    if not slope_mat.is_integral():
+        raise NonIntegralSlope(f"slope matrix not integral: {slope_mat.rows}")
+    return slope_mat.to_int()
+
+
+def oracle_build_covers(trace) -> CoverPair:
+    sd, curve = trace.sd, trace.curve
+    if isinstance(curve, ThetaCurve):
+        kind, names = "theta", ("e", "e1", "e2")
+        lengths = (curve.le, curve.le1, curve.le2)
+    else:
+        kind, names = "dumbbell", ("e1", "e2", "bridge")
+        lengths = (curve.lc1, curve.lc2, None)
+    slope_mat = oracle_slope_matrix(trace)
+    covers = []
+    for row, (label, target_len) in enumerate((("circle1", sd.lp), ("circle2", sd.l))):
+        slopes = [slope_mat[row, j] for j in range(3)]
+        edges = []
+        for j, name in enumerate(names):
+            if kind == "theta" and name in ("e1", "e2"):
+                offset = (Fraction(slopes[0]) * lengths[0] / target_len) % 1
+            else:
+                offset = Fraction(0)
+            edges.append(EdgeMap(edge=name, slope=slopes[j], offset=offset, length=lengths[j]))
+        cover = Cover(target=label, target_length=target_len, degree=sd.d, edges=tuple(edges))
+        oracle_check_cover(cover, kind)
+        covers.append(cover)
+    return CoverPair(to_first=covers[0], to_second=covers[1])
+
+
+@st.composite
+def witness_data(draw):
+    """Dumbbell data at k = 1 or d - 1 with boundary witness alpha: alpha*l == (d-alpha)*lp."""
+    d = draw(st.integers(min_value=2, max_value=64))
+    alpha = draw(st.integers(min_value=1, max_value=d - 1))
+    lp = draw(positive_rationals(max_num=24, max_den=8))
+    sd = SplittingData(d=d, k=draw(st.sampled_from((1, d - 1))), lp=lp,
+                       l=(d - alpha) * lp / alpha)
+    assert boundary_witness(sd) == alpha
+    return sd
+
+
+GOLDEN_K_10_4 = 6179  # the k coprime to 10^4 nearest to 10^4 / golden ratio
+
+COVER_DATA = st.one_of(
+    splitting_data(max_d=64, max_num=24, max_den=8),
+    witness_data(),
+    st.builds(lambda lp, l: SplittingData(d=10 ** 4, k=GOLDEN_K_10_4, lp=lp, l=l),
+              positive_rationals(max_num=24, max_den=8),
+              positive_rationals(max_num=24, max_den=8)),
+)
+
+
+def _kind(trace) -> str:
+    return "theta" if isinstance(trace.curve, ThetaCurve) else "dumbbell"
+
+
+@given(COVER_DATA)
+def test_covers_match_the_fraction_oracle(sd):
+    trace = torelli_preimage(sd)
+    pair = build_covers(trace)
+    assert pair == oracle_build_covers(trace)  # slopes, offsets, lengths and degrees
+    assert all(type(e.slope) is int for c in (pair.to_first, pair.to_second) for e in c.edges)
+    if sd.k in (1, sd.d - 1):
+        assert (boundary_witness(sd) is not None) == (_kind(trace) == "dumbbell")
+
+
+def _outcome(check, cover, kind):
+    try:
+        check(cover, kind)
+    except SplitJacError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _mutations(cover):
+    """Each edge's slope +-1, offset + 1/(2d) and length * 2, and the degree +-1."""
+    shift = Fraction(1, 2 * cover.degree)
+    for j, e in enumerate(cover.edges):
+        edges = [replace(e, slope=e.slope + 1), replace(e, slope=e.slope - 1),
+                 replace(e, offset=e.offset + shift)]
+        if e.length is not None:
+            edges.append(replace(e, length=2 * e.length))
+        for edge in edges:
+            yield replace(cover, edges=cover.edges[:j] + (edge,) + cover.edges[j + 1:])
+    yield replace(cover, degree=cover.degree + 1)
+    yield replace(cover, degree=cover.degree - 1)
+
+
+def _mutated_outcomes(sd):
+    trace = torelli_preimage(sd)
+    pair, kind = build_covers(trace), _kind(trace)
+    for cover in (pair.to_first, pair.to_second):
+        for mutated in _mutations(cover):
+            yield _outcome(_check_cover, mutated, kind), _outcome(oracle_check_cover, mutated, kind)
+
+
+@given(COVER_DATA)
+def test_mutated_covers_get_the_oracles_outcome(sd):
+    for new, old in _mutated_outcomes(sd):
+        assert new == old
+
+
+HAND_BUILT_COVERS = {
+    # e ends at 1/7, where no edge starts: the test point must move on to 1/11
+    "end-at-the-point": Cover("circle1", Fraction(1), 3, (
+        EdgeMap("e", 1, Fraction(16, 21), Fraction(8, 21)),
+        EdgeMap("e1", -1, Fraction(4, 21), Fraction(9, 7)),
+        EdgeMap("e2", 2, Fraction(3, 7), Fraction(1, 3)))),
+    # flat edges start at every candidate point 1/7, ..., 1/67
+    "no-generic-point": Cover("circle1", Fraction(1), 1, (
+        EdgeMap("e", 1, Fraction(0), Fraction(1, 2)),
+        EdgeMap("e1", 1, Fraction(0), Fraction(1, 2)),
+        EdgeMap("e2", 0, Fraction(0), Fraction(1)),
+        *(EdgeMap(f"flat{p}", 0, Fraction(1, p), Fraction(1)) for p in reconstruct._PRIMES))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT_COVERS))
+def test_hand_built_covers_get_the_oracles_outcome(name):
+    cover = HAND_BUILT_COVERS[name]
+    outcome = _outcome(_check_cover, cover, "theta")
+    assert outcome is not None and outcome == _outcome(oracle_check_cover, cover, "theta")
+
+
+def test_mutated_covers_reach_every_failure_path():
+    seen = set()
+    for sd in (SplittingData(2, 1, 2, 1), SplittingData(18, 7, 3, 1),
+               SplittingData(16, 1, 3, 5)):
+        for new, old in _mutated_outcomes(sd):
+            assert new == old
+            if new is not None:
+                seen.add((new[0], re.match("[a-z ]*[a-z]", new[1]).group()))
+    assert seen == {(InternalInconsistency, "cover not harmonic"),
+                    (InternalInconsistency, "mass identity failed"),
+                    (InternalInconsistency, "generic fiber degree")}
+
+
+@pytest.mark.parametrize("factor", [imat(1, 0, 0, 2), qmat(1, Fraction(1, 2), 0, 1)],
+                         ids=["det-2", "non-integral"])
+def test_build_covers_rejects_a_non_unimodular_change_of_basis(factor):
+    trace = torelli_preimage(SplittingData(18, 7, 3, 1))
+    with pytest.raises(NonIntegralSlope, match="not unimodular"):
+        build_covers(replace(trace, x=trace.x @ factor))
+
+
+def test_cover_certificate_survives_optimized_mode():
+    # python -O strips assert statements; the cover certificate must not be one
+    src = Path(reconstruct.__file__).resolve().parents[1]
+    code = (
+        "from dataclasses import replace\n"
+        "from splitjac.errors import InternalInconsistency, NonIntegralSlope\n"
+        "from splitjac.matrices import imat\n"
+        "from splitjac.reconstruct import _check_cover, build_covers, torelli_preimage\n"
+        "from splitjac.splitting import SplittingData\n"
+        "trace = torelli_preimage(SplittingData(18, 7, 3, 1))\n"
+        "cover = build_covers(trace).to_first\n"
+        "unbalanced = (replace(cover.edges[0], slope=0),) + cover.edges[1:]\n"
+        "for bad in (replace(cover, degree=cover.degree + 1), replace(cover, edges=unbalanced)):\n"
+        "    try:\n"
+        "        _check_cover(bad, 'theta')\n"
+        "    except InternalInconsistency:\n"
+        "        print('caught')\n"
+        "try:\n"
+        "    build_covers(replace(trace, x=trace.x @ imat(1, 0, 0, 2)))\n"
+        "except NonIntegralSlope:\n"
+        "    print('caught')\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": str(src)}, timeout=60, check=True)
+    assert out.stdout == "caught\n" * 3
+
+
+_FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__floordiv__", "__mod__", "__pow__",
+                 "__neg__", "__abs__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__")
+
+
+def test_word_certificate_and_cover_checks_compare_only_ints(monkeypatch):
+    # the form is reduced on Fractions; what follows in selling_reduce (the word
+    # certificate) and the whole of _check_cover run no Fraction operator
+    fraction_ops, values, counting = [], [], [False]
+    for name in _FRACTION_OPS:
+        def counted(*args, op=getattr(Fraction, name), name=name):
+            if counting[0]:
+                fraction_ops.append(name)
+            return op(*args)
+        monkeypatch.setattr(Fraction, name, counted)
+    reduce_triple, scaled, cleared = selling.reduce_triple, selling.scaled, reconstruct.cleared
+
+    def reduced(*args, **kwargs):
+        out = reduce_triple(*args, **kwargs)
+        counting[0] = True
+        return out
+
+    def recorded_scaled(a):
+        n, den = scaled(a)
+        values.extend((*n.rows[0], *n.rows[1], den))
+        return n, den
+
+    def recorded_cleared(vals):
+        ints, den = cleared(vals)
+        values.extend((*ints, den))
+        return ints, den
+    traces = [torelli_preimage(sd) for sd in (
+        SplittingData(18, 7, 3, 1), SplittingData(16, 1, 3, 5),
+        SplittingData(10 ** 4, GOLDEN_K_10_4, Fraction(7, 3), Fraction(5, 2)))]
+    pairs = [build_covers(trace) for trace in traces]
+    monkeypatch.setattr(selling, "reduce_triple", reduced)
+    monkeypatch.setattr(selling, "scaled", recorded_scaled)
+    monkeypatch.setattr(reconstruct, "cleared", recorded_cleared)
+    for trace, pair in zip(traces, pairs):
+        selling.selling_reduce(trace.qpp)
+        for cover in (pair.to_first, pair.to_second):
+            counting[0] = True
+            _check_cover(cover, _kind(trace))
+        counting[0] = False
+        assert fraction_ops == [] and values and all(type(v) is int for v in values)
+    counting[0] = True
+    Fraction(1, 2) + 1
+    counting[0] = False
+    assert fraction_ops == ["__add__"]  # the counter is live
+
+
+def test_build_covers_makes_no_inv2_call(monkeypatch):
+    calls, inv2 = [], matrices.inv2
+
+    def counted(a):
+        calls.append(a)
+        return inv2(a)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("splitjac") and getattr(module, "inv2", None) is inv2:
+            monkeypatch.setattr(module, "inv2", counted)
+    for sd in (SplittingData(18, 7, 3, 1), SplittingData(16, 1, 3, 5)):
+        build_covers(torelli_preimage(sd))
+    assert calls == []
+    matrices.inv2(imat(1, 0, 0, 1))
+    assert len(calls) == 1  # the counter is live

@@ -12,6 +12,7 @@ from itertools import groupby
 import pytest
 from hypothesis import given, strategies as st
 
+import splitjac.selling as selling
 from conftest import pd_forms, reduced_forms
 from splitjac.errors import (
     InternalInconsistency,
@@ -33,6 +34,7 @@ from splitjac.selling import (
     fd_representative,
     in_fundamental_domain,
     in_sigma,
+    reduce_triple,
     selling_params,
     selling_reduce,
     sigma_coords,
@@ -99,6 +101,20 @@ def test_reduction_word_matrix_order():
     assert word.matrix() == SFLIP @ T1 @ T1 @ T2 @ imat(0, 1, 1, 0)
     assert ReductionWord().matrix() == Mat.identity(2)
     assert ReductionWord(runs=(("T1", 5),)).counts() == (5,)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda runs: runs[:-1] + [[runs[-1][0], runs[-1][1] + 1, runs[-1][2]]],
+    lambda runs: runs[:-1] + ([[runs[-1][0], runs[-1][1] - 1, runs[-1][2]]]
+                             if runs[-1][1] > 1 else []),
+], ids=["one-move-more", "one-move-fewer"])
+def test_word_certificate_rejects_a_miscounted_word(monkeypatch, mutate):
+    def miscounted(*args, **kwargs):
+        final, runs = reduce_triple(*args, **kwargs)
+        return final, mutate(runs)
+    monkeypatch.setattr(selling, "reduce_triple", miscounted)
+    with pytest.raises(InternalInconsistency, match="does not reproduce"):
+        selling_reduce(Q_GOLDEN)
 
 
 def test_selling_reduce_rejects_positive_q12():
