@@ -272,13 +272,16 @@ def cmd_adjoint(args) -> int:
 def cmd_fan(args) -> int:
     fan = build_fan(args.d, args.k, cap=args.cap)
     if args.csv is not None:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["index", "word", "ray1_lp", "ray1_l", "ray2_lp", "ray2_l",
-                        "sample_lp", "sample_l"])
-            for i, cone in enumerate(fan.cones):
-                (x1, y1), (x2, y2) = cone.rays
-                w.writerow([i, ".".join(cone.word), x1, y1, x2, y2, x1 + x2, y1 + y2])
+        try:
+            with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+                w = csv.writer(fh, lineterminator="\n")
+                w.writerow(["index", "word", "ray1_lp", "ray1_l", "ray2_lp", "ray2_l",
+                            "sample_lp", "sample_l"])
+                for i, cone in enumerate(fan.cones):
+                    (x1, y1), (x2, y2) = cone.rays
+                    w.writerow([i, ".".join(cone.word), x1, y1, x2, y2, x1 + x2, y1 + y2])
+        except OSError as exc:
+            raise ValidationError(f"cannot write CSV: {exc}") from exc
     rays = boundary_rays(fan)
     return _emit_json({
         "d": fan.d, "k": fan.k,

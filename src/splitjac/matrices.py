@@ -15,10 +15,13 @@ from .errors import InternalInconsistency, SingularMatrix, UnsupportedRank, Vali
 
 
 def rat(x) -> Fraction:
-    """Coerce an int, a 'p/q' string or a Fraction to Fraction; a float raises ValidationError."""
+    """Coerce an int, a 'p/q' string or a Fraction to Fraction, else raise ValidationError."""
     if isinstance(x, float):
         raise ValidationError(f"expected an exact number, got the float {x!r}")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ValidationError(f"expected an exact number, got {x!r}") from exc
 
 
 def rat_str(x) -> str:

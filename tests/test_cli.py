@@ -254,3 +254,79 @@ def test_sweep_rejects_empty_grid(capsys):
                            "--lp", ",", "--l", "1")
     assert code == 1
     assert json.loads(err)["error"] == "ValidationError"
+
+
+SD_ARGS = ("--d", "18", "--k", "7", "--lp", "3", "--l", "1")
+FORM_ARGS = ("--q11", "54", "--q12=-21", "--q22", "74/9")
+CAP_CASES = {
+    f"{command} --cap={cap}": ((command, *args, f"--cap={cap}"), "IterationCapExceeded")
+    for command, args in (("selling", FORM_ARGS), ("reconstruct", SD_ARGS),
+                          ("covers", SD_ARGS), ("sweep", SD_ARGS))
+    for cap in ("0", "-1")
+}
+CAP_CASES["fan --cap=0"] = (("fan", "--d", "5", "--k", "2", "--cap=0"), "ConeCapExceeded")
+CAP_CASES["locus-compare --cap=0"] = (
+    ("locus-compare", "--d", "5", "--k1", "1", "--k2", "2", "--cap=0"), "ConeCapExceeded")
+
+
+def run_malformed(capsys, *argv):
+    """Exit code and stderr of an invocation that must fail without a traceback.
+
+    Exit 1 must come with empty stdout and a JSON error object on stderr; exit 2
+    is argparse's usage error.  Any other exception fails the calling test.
+    """
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        capsys.readouterr()
+        assert exc.code == 2
+        return 2, None
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert set(payload) == {"error", "message"}
+    return code, payload
+
+
+@pytest.mark.parametrize("argv, error", CAP_CASES.values(), ids=CAP_CASES.keys())
+def test_a_cap_below_one_is_a_domain_error(capsys, argv, error):
+    assert run_malformed(capsys, *argv)[1]["error"] == error
+
+
+@pytest.mark.parametrize("argv", [("fan", "--d", "5", "--k", "2", "--cap=1/2"),
+                                  ("selling", *FORM_ARGS, "--cap", "many")],
+                         ids=["fan", "selling"])
+def test_a_cap_that_is_not_an_integer_is_a_usage_error(capsys, argv):
+    assert run_malformed(capsys, *argv) == (2, None)
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_a_fan_csv_that_cannot_be_written_is_a_validation_error(capsys, tmp_path, where):
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "x.csv"
+    payload = run_malformed(capsys, "fan", "--d", "5", "--k", "2", "--csv", str(path))[1]
+    assert payload["error"] == "ValidationError"
+    assert payload["message"].startswith("cannot write CSV: ")
+
+
+EYE_STRS = [["1", "0"], ["0", "1"]]
+MALFORMED_MATRICES = {
+    "3x3-pairing": (
+        {"source": {"pairing": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}},
+        "UnsupportedRank", "rank 3 unsupported"),
+    "empty-row": ({"msharp": [[], []]}, "ValidationError", "empty matrix"),
+    "non-list-matrix": ({"mflat": 5}, "ValidationError", "bad matrix in input: 5"),
+    "msharp-shape": ({"msharp": [["1", "0"]]}, "ValidationError", "msharp shape (1, 2)"),
+    "z1-shape": ({"z1": [["1"]]}, "ValidationError", "polarization shape (1, 1)"),
+}
+
+
+@pytest.mark.parametrize("command", ["mumford", "adjoint"])
+@pytest.mark.parametrize("change, error, message", MALFORMED_MATRICES.values(),
+                         ids=MALFORMED_MATRICES.keys())
+def test_a_malformed_matrix_is_a_domain_error(capsys, monkeypatch, command, change, error,
+                                              message):
+    payload = dict(MORPHISM_INPUT, z2=EYE_STRS, **change)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    got = run_malformed(capsys, command, "--input", "-")[1]
+    assert got["error"] == error
+    assert message in got["message"]

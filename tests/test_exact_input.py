@@ -2,16 +2,18 @@
 
 Every public entry point that takes a number or a matrix reaches one of the
 two gates, so a float raises ValidationError wherever it enters, while int,
-Fraction and 'p/q' string input keeps its exact value.
+Fraction and 'p/q' string input keeps its exact value.  A value that is not
+a number at all raises ValidationError from `rat` too.
 """
 
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 
 from splitjac.errors import ValidationError
 from splitjac.locus import LinForm
-from splitjac.matrices import Mat, imat, inv2, qmat, rat, rat_str, snf2
+from splitjac.matrices import Mat, imat, inv2, parse_rat, qmat, rat, rat_str, snf2
 from splitjac.selling import (
     DumbbellFamily,
     ThetaCurve,
@@ -66,6 +68,26 @@ FLOAT_INPUTS = {
 def test_float_input_raises_validation_error(call):
     with pytest.raises(ValidationError):
         call()
+
+
+NOT_A_NUMBER = {"None": None, "complex": 1j, "word": "abc", "NaN": Decimal("NaN"),
+                "infinity": Decimal("Infinity"), "zero denominator": "1/0", "list": [1]}
+
+
+@pytest.mark.parametrize("value", NOT_A_NUMBER.values(), ids=NOT_A_NUMBER.keys())
+def test_a_value_that_is_not_a_number_raises_validation_error(value):
+    calls = (rat, rat_str, circle, lambda v: SplittingData(18, 7, v, 1), lambda v: LinForm(v, 0),
+             lambda v: ThetaCurve(1, 1, v), lambda v: Mat(((v,),)).is_integral())
+    for call in calls:
+        with pytest.raises(ValidationError, match="exact number") as exc:
+            call(value)
+        assert repr(value) in str(exc.value)
+
+
+def test_parse_rat_keeps_its_value_error_for_argparse():
+    for text in ("1/0", "abc"):
+        with pytest.raises(ValueError):
+            parse_rat(text)
 
 
 def _reduced_curve(q):

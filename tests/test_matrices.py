@@ -201,7 +201,7 @@ def test_is_integral_coerces_other_entries_as_before():
     assert Mat((("3", "4/2"),)).is_integral()
     assert not Mat((("1/2",),)).is_integral()
     assert Mat((("6/3",),)).to_int().rows == ((2,),)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValidationError, match="exact number"):
         Mat(((LinForm(1, 0),),)).is_integral()
 
 

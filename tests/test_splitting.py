@@ -5,7 +5,6 @@ import sys
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,9 +13,10 @@ from conftest import splitting_data
 import splitjac.splitting as splitting
 import splitjac.tav as tav
 from splitjac.errors import InternalInconsistency, NonPositiveLength, ValidationError
-from splitjac.matrices import Mat, col2, imat, inv2, qmat
+from splitjac.matrices import Mat, col2, imat, inv2, qmat, row2
 from splitjac.splitting import (
     JppModel,
+    SplitDiagram,
     SplittingData,
     build_diagram,
     build_jpp,
@@ -144,8 +144,39 @@ def test_build_jpp_matches_the_oracle_field_by_field(sd):
         assert getattr(got, field.name) == getattr(want, field.name), field.name
 
 
+def oracle_build_diagram(sd):
+    """build_diagram as it was before it read phitilde off the descent.
+
+    It runs the generic adjoint on the two identity polarizations and checks
+    both composites against d * identity.
+    """
+    jm = oracle_build_jpp(sd)
+    phi = jm.splitting_isogeny.mflat
+    phitilde = tav.adjoint(jm.splitting_isogeny, jm.product.polarization,
+                           jm.jpp.polarization).mflat
+    d = sd.d
+    if phitilde @ phi != imat(d, 0, 0, d) or phi @ phitilde != imat(d, 0, 0, d):
+        raise InternalInconsistency("adjoint composite is not multiplication by d")
+    kernel = oracle_kernel(phi, d, sd.k)
+    return SplitDiagram(sd=sd, phi=phi, phitilde=phitilde,
+                        f1=col2(phi[0, 0], phi[1, 0]), f2=col2(phi[0, 1], phi[1, 1]),
+                        g1=row2(phitilde[0, 0], phitilde[0, 1]),
+                        g2=row2(phitilde[1, 0], phitilde[1, 1]),
+                        kernel_normalized=kernel,
+                        kernel_raw=tuple((u * sd.lp, v * sd.l) for u, v in kernel),
+                        zeta=jm.zeta, gram=jm.gram)
+
+
+@given(splitting_data(max_d=64, max_num=12, max_den=6))
+def test_build_diagram_matches_the_oracle_field_by_field(sd):
+    got, want = build_diagram(sd), oracle_build_diagram(sd)
+    for field in fields(SplitDiagram):
+        assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+
 def test_build_diagram_certifies_each_polarization_once(monkeypatch):
-    calls = {"check_polarization": 0, "inv2": 0, "matmul": 0}
+    calls = {"check_polarization": 0, "inv2": 0, "matmul": 0, "TavMorphism": 0,
+             "polarization_type": 0, "adjoint": 0}
 
     def count(owner, attr, key):
         fn = getattr(owner, attr)
@@ -159,12 +190,21 @@ def test_build_diagram_certifies_each_polarization_once(monkeypatch):
     count(tav, "inv2", "inv2")
     count(splitting, "inv2", "inv2")
     count(Mat, "__matmul__", "matmul")
+    count(TavMorphism, "__post_init__", "TavMorphism")
+    count(tav, "polarization_type", "polarization_type")
+    count(splitting, "polarization_type", "polarization_type")
+    count(tav, "adjoint", "adjoint")
     build_diagram(SplittingData(d=18, k=7, lp=3, l=1))
-    # two circles and their product, the descent's z1 and zeta2, jpp, and adjoint's z1 and z2
-    assert calls["check_polarization"] == 8
-    # the quotient pairing; the descent and the adjoint invert by adjugates on integers
+    # two circles and their product, the descent's z1 and zeta2, and jpp
+    assert calls["check_polarization"] == 6
+    # the quotient pairing; the descent inverts by adjugates on integers
     assert calls["inv2"] == 1
-    assert calls["matmul"] <= 28
+    # the quotient map and the splitting isogeny; phitilde is the descended zeta
+    assert calls["TavMorphism"] == 2
+    assert calls["polarization_type"] == 1
+    assert calls["adjoint"] == 0
+    assert calls["matmul"] <= 16
+    assert not hasattr(splitting, "adjoint")
 
 
 def test_build_diagram_scales_each_pairing_once(monkeypatch):
@@ -180,12 +220,15 @@ def test_build_diagram_scales_each_pairing_once(monkeypatch):
     assert len(seen) == len(set(seen)) == 5
 
 
-@pytest.mark.parametrize("zeta2", [None, imat(2, 0, 0, 1), imat(2, 1, 1, 1), imat(1, 0, 0, 2)])
+@pytest.mark.parametrize("zeta2", [None, imat(2, 0, 0, 1), imat(2, 1, 1, 1), imat(1, 0, 0, 2),
+                                   imat(1, 1, 0, 1)])
 def test_build_jpp_rejects_a_wrong_descent(monkeypatch, zeta2):
+    # build_diagram reads phitilde off the descent, so a wrong zeta would be a wrong adjoint
     wrong = InduceResult(m=qmat(Fraction(1, 2), 0, 0, 1) if zeta2 is None else zeta2, zeta2=zeta2)
     monkeypatch.setattr(splitting, "induce_polarization", lambda f, z1: wrong)
-    with pytest.raises(InternalInconsistency, match="closed form"):
-        build_jpp(SplittingData(d=2, k=1, lp=1, l=3))
+    for build in (build_jpp, build_diagram):
+        with pytest.raises(InternalInconsistency, match="closed form"):
+            build(SplittingData(d=2, k=1, lp=1, l=3))
 
 
 def test_build_jpp_rejects_a_wrong_type(monkeypatch):
@@ -202,16 +245,25 @@ def test_build_jpp_rejects_a_wrong_period_form(monkeypatch, form):
 
 
 def test_build_jpp_rejects_a_wrong_pullback(monkeypatch):
-    # phi is the one morphism built with keywords; give it the negated quotient map
-    real = splitting.TavMorphism
+    # induce_polarization divides twice: a = msharp^-1 @ z1, then zeta2 = a @ mflat^-1.
+    # Doubling the second keeps zeta2 a polarization, but it pulls back to 2 * z1, which
+    # only the descent's own certificate sees; build_jpp and build_diagram rely on it.
+    sd = SplittingData(d=18, k=7, lp=3, l=1)
+    qmor = build_jpp(sd).quotient_map
+    real, calls = tav._exact_quotient, []
 
-    def negated_phi(*args, msharp=None, mflat=None):
-        if msharp is None:
-            return real(*args)
-        return SimpleNamespace(msharp=msharp, mflat=mflat.scale(-1))
-    monkeypatch.setattr(splitting, "TavMorphism", negated_phi)
+    def doubled_descent(m, q):
+        calls.append(q)
+        out = real(m, q)
+        return out.scale(2) if len(calls) % 2 == 0 else out
+    monkeypatch.setattr(tav, "_exact_quotient", doubled_descent)
     with pytest.raises(InternalInconsistency, match="pull back"):
-        build_jpp(SplittingData(d=2, k=1, lp=1, l=3))
+        induce_polarization(qmor, imat(18, 0, 0, 18))
+    with pytest.raises(InternalInconsistency, match="pull back"):
+        build_jpp(sd)
+    with pytest.raises(InternalInconsistency, match="pull back"):
+        build_diagram(sd)
+    assert len(calls) == 6
 
 
 def test_build_jpp_certificates_survive_optimized_mode():
@@ -246,9 +298,10 @@ def test_build_diagram_golden():
 @pytest.mark.parametrize("wrong", [imat(2, 0, 0, 1), imat(2, 1, 1, 1), imat(1, 1, 0, 1),
                                    imat(1, 0, 0, 2)])
 def test_build_diagram_rejects_a_wrong_adjoint(monkeypatch, wrong):
-    # every identity g_i @ f_j = d * delta_ij is an entry of phitilde @ phi
-    monkeypatch.setattr(splitting, "adjoint", lambda *args: SimpleNamespace(mflat=wrong))
-    with pytest.raises(InternalInconsistency):
+    # phitilde is the descended zeta, so a wrong adjoint can only arrive as a wrong descent
+    monkeypatch.setattr(splitting, "induce_polarization",
+                        lambda f, z1: InduceResult(m=wrong, zeta2=wrong))
+    with pytest.raises(InternalInconsistency, match="closed form"):
         build_diagram(SplittingData(d=2, k=1, lp=1, l=3))
 
 
