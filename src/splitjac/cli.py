@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -81,12 +82,43 @@ def _emit_json(obj) -> int:
     return 0
 
 
+# Pieces of json.dumps(obj, indent=2) output, for writing fan's JSON as it is rendered.
+_PAD6, _PAD8 = " " * 6, " " * 8
+_MOVE_ITEMS = {move: f'{_PAD8}"{move}"' for move in ("T1", "T2")}
+
+
+def _json_at(obj, pad: str) -> str:
+    """json.dumps(obj, indent=2) for a value nested at indentation pad."""
+    return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+
+
+def _json_list(items: list, pad: str) -> str:
+    """A JSON list at indentation pad of rendered items, each already indented."""
+    return "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else "[]"
+
+
+def _word_list(word) -> str:
+    return _json_list([_MOVE_ITEMS[move] for move in word], _PAD6)
+
+
+def _write_list(out, items) -> None:
+    """Write a JSON list at indentation 2, one rendered item at a time."""
+    first = True
+    for item in items:
+        out.write("[\n" if first else ",\n")
+        out.write(item)
+        first = False
+    out.write("[]" if first else "\n  ]")
+
+
 def _csv_writer():
     return csv.writer(sys.stdout, lineterminator="\n")
 
 
 def _mat_from_strs(rows) -> Mat:
     try:
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValidationError("expected a list of lists")
         return Mat(tuple(tuple(parse_rat(str(x)) for x in row) for row in rows))
     except (ValueError, TypeError, ValidationError) as exc:
         raise ValidationError(f"bad matrix in input: {rows!r} ({exc})") from exc
@@ -283,18 +315,40 @@ def cmd_fan(args) -> int:
         except OSError as exc:
             raise ValidationError(f"cannot write CSV: {exc}") from exc
     rays = boundary_rays(fan)
-    return _emit_json({
-        "d": fan.d, "k": fan.k,
-        "num_cones": len(fan.cones),
-        "cones": [{
-            "word": list(c.word),
-            "inequalities": [_linform_json(f) for f in c.inequalities],
-            "rays": [list(r) for r in c.rays],
-            "phi_sigma": [_linform_json(f) for f in c.phi_sigma],
-        } for c in fan.cones],
-        "boundary_rays": [{"word": list(word), "form": _linform_json(f)}
-                          for word, f in rays],
-    })
+    # The output has O(N^2) bytes for N cones but O(N) distinct forms, so it is
+    # written cone by cone and each form object is rendered once.
+    # id(LinForm) -> its list item: the fan keeps its forms alive, and cone m's are
+    # fired[:m] + terminals[m]
+    items = {}
+
+    def forms(fs) -> str:
+        for f in fs:
+            if id(f) not in items:
+                items[id(f)] = _PAD8 + _json_at(_linform_json(f), _PAD8)
+        return _json_list([items[id(f)] for f in fs], _PAD6)
+
+    def cone_item(c) -> str:
+        return ("    {\n"
+                f'      "word": {_word_list(c.word)},\n'
+                f'      "inequalities": {forms(c.inequalities)},\n'
+                f'      "rays": {_json_at([list(r) for r in c.rays], _PAD6)},\n'
+                f'      "phi_sigma": {forms(c.phi_sigma)}\n'
+                "    }")
+
+    def boundary_item(word, f) -> str:
+        return ("    {\n"
+                f'      "word": {_word_list(word)},\n'
+                f'      "form": {_json_at(_linform_json(f), _PAD6)}\n'
+                "    }")
+
+    out = sys.stdout
+    out.write(f'{{\n  "d": {fan.d},\n  "k": {fan.k},\n  "num_cones": {len(fan.cones)},\n'
+              '  "cones": ')
+    _write_list(out, map(cone_item, fan.cones))
+    out.write(',\n  "boundary_rays": ')
+    _write_list(out, (boundary_item(word, f) for word, f in rays))
+    out.write("\n}\n")
+    return 0
 
 
 def cmd_locus_compare(args) -> int:
@@ -356,8 +410,19 @@ def _add_form_args(p) -> None:
     p.add_argument("--q22", type=parse_rat, required=True)
 
 
-def _add_cap(p, default=DEFAULT_CAP) -> None:
-    p.add_argument("--cap", type=int, default=default, help="iteration cap")
+def _cap(text: str) -> int:
+    """argparse type of --cap: an integer >= 1."""
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"invalid cap {text!r}: expected an integer >= 1")
+    return cap
+
+
+def _add_cap(p, default=DEFAULT_CAP, help="iteration cap") -> None:
+    p.add_argument("--cap", type=_cap, default=default, help=help)
 
 
 def _add_format(p, choices=("json", "csv"), default="json") -> None:
@@ -413,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fan", help="fan of the d-split locus for fixed (d, k)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None, help="cone cap (default: no cap)")
+    _add_cap(p, default=None, help="cone cap (default: no cap)")
     p.add_argument("--csv", default=None, metavar="PATH",
                    help="also write rays and sample points to a CSV file")
     p.set_defaults(func=cmd_fan)
@@ -422,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k1", type=int, required=True)
     p.add_argument("--k2", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None)
+    _add_cap(p, default=None, help="cone cap (default: no cap)")
     p.set_defaults(func=cmd_locus_compare)
 
     p = sub.add_parser("sweep", help="classify a grid of lengths, CSV output")
@@ -437,9 +502,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser: parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SplitJacError as exc:

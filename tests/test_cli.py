@@ -2,10 +2,16 @@
 
 import io
 import json
+import sys
+import tracemalloc
+from math import gcd
 
 import pytest
 
+from splitjac import cli
 from splitjac.cli import main
+from splitjac.locus import boundary_rays, build_fan
+from splitjac.matrices import rat_str
 
 
 def run_cli(capsys, *argv):
@@ -259,26 +265,26 @@ def test_sweep_rejects_empty_grid(capsys):
 SD_ARGS = ("--d", "18", "--k", "7", "--lp", "3", "--l", "1")
 FORM_ARGS = ("--q11", "54", "--q12=-21", "--q22", "74/9")
 CAP_CASES = {
-    f"{command} --cap={cap}": ((command, *args, f"--cap={cap}"), "IterationCapExceeded")
+    f"{command} --cap={cap}": (command, *args, f"--cap={cap}")
     for command, args in (("selling", FORM_ARGS), ("reconstruct", SD_ARGS),
-                          ("covers", SD_ARGS), ("sweep", SD_ARGS))
+                          ("covers", SD_ARGS), ("sweep", SD_ARGS),
+                          ("fan", ("--d", "5", "--k", "2")),
+                          ("locus-compare", ("--d", "5", "--k1", "1", "--k2", "2")))
     for cap in ("0", "-1")
 }
-CAP_CASES["fan --cap=0"] = (("fan", "--d", "5", "--k", "2", "--cap=0"), "ConeCapExceeded")
-CAP_CASES["locus-compare --cap=0"] = (
-    ("locus-compare", "--d", "5", "--k1", "1", "--k2", "2", "--cap=0"), "ConeCapExceeded")
 
 
 def run_malformed(capsys, *argv):
     """Exit code and stderr of an invocation that must fail without a traceback.
 
     Exit 1 must come with empty stdout and a JSON error object on stderr; exit 2
-    is argparse's usage error.  Any other exception fails the calling test.
+    is argparse's usage error, also with empty stdout.  Any other exception
+    fails the calling test.
     """
     try:
         code = main(list(argv))
     except SystemExit as exc:
-        capsys.readouterr()
+        assert capsys.readouterr().out == ""
         assert exc.code == 2
         return 2, None
     out, err = capsys.readouterr()
@@ -288,8 +294,17 @@ def run_malformed(capsys, *argv):
     return code, payload
 
 
-@pytest.mark.parametrize("argv, error", CAP_CASES.values(), ids=CAP_CASES.keys())
-def test_a_cap_below_one_is_a_domain_error(capsys, argv, error):
+@pytest.mark.parametrize("argv", CAP_CASES.values(), ids=CAP_CASES.keys())
+def test_a_cap_below_one_is_a_usage_error(capsys, argv):
+    assert run_malformed(capsys, *argv) == (2, None)
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("selling", *FORM_ARGS, "--cap=1"), "IterationCapExceeded"),
+    (("fan", "--d", "5", "--k", "2", "--cap=1"), "ConeCapExceeded"),
+    (("locus-compare", "--d", "5", "--k1", "1", "--k2", "2", "--cap=1"), "ConeCapExceeded"),
+], ids=["selling", "fan", "locus-compare"])
+def test_a_cap_that_is_too_small_is_a_domain_error(capsys, argv, error):
     assert run_malformed(capsys, *argv)[1]["error"] == error
 
 
@@ -315,6 +330,10 @@ MALFORMED_MATRICES = {
         "UnsupportedRank", "rank 3 unsupported"),
     "empty-row": ({"msharp": [[], []]}, "ValidationError", "empty matrix"),
     "non-list-matrix": ({"mflat": 5}, "ValidationError", "bad matrix in input: 5"),
+    "string-matrix": ({"mflat": "12"}, "ValidationError", "bad matrix in input: '12'"),
+    "one-char-string-matrix": ({"z1": "1"}, "ValidationError", "bad matrix in input: '1'"),
+    "string-row": ({"msharp": [["1", "0"], "01"]}, "ValidationError",
+                   "bad matrix in input: [['1', '0'], '01']"),
     "msharp-shape": ({"msharp": [["1", "0"]]}, "ValidationError", "msharp shape (1, 2)"),
     "z1-shape": ({"z1": [["1"]]}, "ValidationError", "polarization shape (1, 1)"),
 }
@@ -330,3 +349,137 @@ def test_a_malformed_matrix_is_a_domain_error(capsys, monkeypatch, command, chan
     got = run_malformed(capsys, command, "--input", "-")[1]
     assert got["error"] == error
     assert message in got["message"]
+
+
+# --- fan: streamed JSON against the object builder it replaced ---
+
+def oracle_fan_json(d, k) -> str:
+    """fan's stdout as built before streaming: one object tree, one json.dumps."""
+    fan = build_fan(d, k)
+
+    def linform(f):
+        return {"lp": rat_str(f.a), "l": rat_str(f.b)}
+
+    return json.dumps({
+        "d": fan.d, "k": fan.k,
+        "num_cones": len(fan.cones),
+        "cones": [{
+            "word": list(c.word),
+            "inequalities": [linform(f) for f in c.inequalities],
+            "rays": [list(r) for r in c.rays],
+            "phi_sigma": [linform(f) for f in c.phi_sigma],
+        } for c in fan.cones],
+        "boundary_rays": [{"word": list(word), "form": linform(f)}
+                          for word, f in boundary_rays(fan)],
+    }, indent=2) + "\n"
+
+
+def fan_stdout(capsys, d, k, *extra):
+    code, out, err = run_cli(capsys, "fan", "--d", str(d), "--k", str(k), *extra)
+    assert (code, err) == (0, "")
+    return out
+
+
+def test_fan_json_matches_the_object_builder_for_small_d(capsys):
+    pairs = [(d, k) for d in range(2, 41) for k in range(1, d) if gcd(d, k) == 1]
+    assert len(pairs) == 489
+    for d, k in pairs:
+        assert fan_stdout(capsys, d, k) == oracle_fan_json(d, k), (d, k)
+
+
+# k = 60 is the nearest to 97 / golden ratio: many short runs
+@pytest.mark.parametrize("d, k", [(97, 1), (97, 2), (97, 35), (97, 60), (97, 96), (200, 1)])
+def test_fan_json_matches_the_object_builder(capsys, d, k):
+    assert fan_stdout(capsys, d, k) == oracle_fan_json(d, k)
+
+
+def test_fan_json_with_csv_matches_the_object_builder(capsys, tmp_path):
+    path = tmp_path / "rays.csv"
+    assert fan_stdout(capsys, 13, 5, "--csv", str(path)) == oracle_fan_json(13, 5)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 1 + len(build_fan(13, 5).cones)
+
+
+@pytest.mark.parametrize("items", [[], ["    1"], ["    1", "    2"]], ids=["0", "1", "2"])
+def test_json_list_pieces_match_json_dumps(items):
+    expected = json.dumps([int(x) for x in items], indent=2)
+    assert cli._json_list(items, "  ").replace("\n  ", "\n") == expected
+    out = io.StringIO()
+    cli._write_list(out, iter(items))
+    assert out.getvalue().replace("\n  ", "\n") == expected
+
+
+class Discard(io.TextIOBase):
+    def write(self, s):
+        return len(s)
+
+
+def test_fan_streams_its_json(monkeypatch):
+    """fan holds little more than the fan itself: no O(N^2) string or object tree."""
+    build_fan(300, 1)
+    cli._parser()
+    monkeypatch.setattr(sys, "stdout", Discard())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build_fan(300, 1)
+        fan_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(["fan", "--d", "300", "--k", "1"]) == 0
+        main_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert main_peak <= 2 * fan_peak, (main_peak, fan_peak)
+
+
+# --- one parser per process ---
+
+PARSER_SEQUENCE = [
+    ["setmatrix", "--d", "18", "--k", "7", "--lp", "1/0", "--l", "1"],
+    ["reconstruct", *SD_ARGS, "--format", "csv"],
+    ["reconstruct", *SD_ARGS],
+]
+
+
+def run_sequence(capsys, fresh_parsers):
+    results = []
+    for argv in PARSER_SEQUENCE:
+        if fresh_parsers:
+            cli._parser.cache_clear()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        results.append((code, *capsys.readouterr()))
+    return results
+
+
+def test_main_builds_one_parser(capsys, monkeypatch):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return original()
+
+    original = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        codes = [result[0] for result in run_sequence(capsys, fresh_parsers=False)]
+    finally:
+        cli._parser.cache_clear()
+    assert codes == [2, 0, 0]
+    assert len(built) == 1
+
+
+def test_a_reused_parser_prints_what_fresh_parsers_print(capsys):
+    cli._parser.cache_clear()
+    shared = run_sequence(capsys, fresh_parsers=False)
+    fresh = run_sequence(capsys, fresh_parsers=True)
+    assert [r[0] for r in shared] == [2, 0, 0]
+    assert shared == fresh
+
+
+def test_build_parser_returns_a_new_parser():
+    assert cli.build_parser() is not cli.build_parser()
